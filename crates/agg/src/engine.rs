@@ -175,26 +175,20 @@ impl Aggregate {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Clone every shard's current state into a
-    /// [`repro_runtime::CheckpointStore`], one slot per shard. Each slot
-    /// is internally consistent; for a cross-shard-consistent snapshot,
-    /// quiesce ingest first (the load generator stops at an event
+    /// Clone every shard's current state, each once under its own lock.
+    /// Each clone is internally consistent; for a cross-shard-consistent
+    /// view, quiesce ingest first (the load generator stops at an event
     /// boundary before snapshotting).
-    pub fn snapshot_store(&self) -> repro_runtime::CheckpointStore<ShardState> {
-        let mut store = repro_runtime::CheckpointStore::with_slots(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            store.save(i, lock(shard).clone());
-        }
-        store
+    fn shard_states(&self) -> Vec<ShardState> {
+        self.shards
+            .iter()
+            .map(|shard| lock(shard).clone())
+            .collect()
     }
 
     /// The merged root state (stride-doubling over shard clones).
     pub fn merged_state(&self) -> ShardState {
-        let store = self.snapshot_store();
-        let states: Vec<ShardState> = (0..store.slots())
-            .map(|i| store.get(i).expect("snapshot fills every slot").clone())
-            .collect();
-        merge_tree(states).expect("aggregates have at least one shard")
+        merge_tree(self.shard_states()).expect("aggregates have at least one shard")
     }
 
     /// Finalize: merge all shards, round once.
@@ -218,10 +212,7 @@ impl Aggregate {
 
     /// Serialize this aggregate as one `repro-agg-state-v1` document.
     pub fn serialize(&self) -> String {
-        let store = self.snapshot_store();
-        let states: Vec<ShardState> = (0..store.slots())
-            .map(|i| store.get(i).expect("snapshot fills every slot").clone())
-            .collect();
+        let states = self.shard_states();
         state::render_aggregate(&self.name, self.op, self.updates(), self.batches(), &states)
     }
 

@@ -1,84 +1,27 @@
 //! # `repro-cli` — the `repro-reduce` command
 //!
-//! A thin, dependency-free command-line front end over `repro-core`:
+//! A thin, dependency-free command-line front end over `repro-core`. The
+//! commands, their flags and the exit-code contract are documented once,
+//! in [`USAGE`] (what `repro-reduce --help` prints).
 //!
-//! ```text
-//! repro-reduce sum     [--alg ST|K|N|PW|CP|DD|PR|DS] [--file F] [VALUES...]
-//! repro-reduce profile [--file F] [VALUES...]
-//! repro-reduce select  --tolerance T [--relative|--bitwise] [--file F] [VALUES...]
-//! repro-reduce verify  --tolerance T [--bitwise] [--file F] [VALUES...]
-//! repro-reduce compare [--file F] [VALUES...]
-//! repro-reduce gen     --n N [--k K|inf] [--dr D] [--seed S]
-//! repro-reduce dot     --file-x FX --file-y FY [--alg ST|CP|PR]
-//! repro-reduce calibrate [--n N] [--perms P] [--seed S]
-//! repro-reduce tree    [--shape balanced|serial|random|binomial] [--alg A]
-//!                      [--dot] [--file F] [VALUES...]
-//! repro-reduce chaos   [--ranks R] [--n N] [--dr D] [--seed S] [--drop P]
-//!                      [--delay P] [--dup P] [--reorder P] [--kill K]
-//!                      [--topology binomial|flat|chain]
-//! repro-reduce trace reduce [--n N] [--k K|inf] [--dr D] [--seed S]
-//!                      [--tolerance T] [--bitwise] [--wall] [--telemetry]
-//!                      [--sample N] [--perturb I] [--file F] [VALUES...]
-//! repro-reduce trace chaos  [--ranks R] [--n N] [--dr D] [--seed S] [--drop P]
-//!                      [--delay P] [--dup P] [--reorder P] [--kill K]
-//!                      [--telemetry] [--sample N] [--perturb I]
-//! repro-reduce trace check  --file F
-//! repro-reduce trace diff   A.jsonl B.jsonl
-//! repro-reduce report  [--format prom|html] [--n N] [--k K|inf] [--dr D]
-//!                      [--seed S] [--sample N] [--file F] [VALUES...]
-//! repro-reduce bench   [--out PATH|-]
-//! repro-reduce simd    [--check scalar|sse2|avx2]
-//! repro-reduce agg loadgen [--aggregates A] [--clients C] [--batches B]
-//!                      [--batch-len L] [--shards K] [--workers W]
-//!                      [--seed S] [--shuffle X]
-//! repro-reduce agg serve   (loadgen flags) [--restore PATH] [--snapshot PATH]
-//!                      [--start-at I] [--stop-at I] [--manifest PATH]
-//! repro-reduce agg bench   (loadgen flags; sweeps shards 1/4/16)
-//! repro-reduce agg check   --file F
-//! ```
-//!
-//! Values come from positional arguments and/or `--file` (whitespace- or
-//! newline-separated floats; `-` reads stdin). All commands are pure
-//! functions from arguments + input to an output string, so the entire CLI
-//! is unit-testable without spawning processes.
-//!
-//! The `trace` family emits JSON Lines observability events (one per line)
-//! followed by `#`-prefixed human summary lines; `trace check` re-parses a
-//! saved trace and validates the schema contract. `trace chaos` runs a
-//! deterministic communication script, so two runs with the same seed
-//! produce byte-identical event streams.
-//!
-//! `--telemetry` adds numerical-accuracy telemetry to a trace: per-node
-//! `node` events carrying the partial sum bits, the running Higham error
-//! bound, and (at `--sample`d nodes) the exact ulp deviation against a
-//! superaccumulator shadow. It is **off by default** — an untelemetried
-//! trace is byte-identical to one from before the feature existed.
-//! `--perturb I` nudges input `I` up by one ulp, the forensic scenario:
-//! `trace diff` aligns two traces by plan-derived node id, reports the
-//! first divergent node, and walks the divergence to its leaf-interval
-//! origin (exit status 1 when the traces diverge). `report` renders the
-//! metrics registry of one telemetried run as Prometheus text exposition
-//! or as a self-contained zero-dependency HTML page.
-//!
-//! The `agg` family drives the sharded aggregation engine (`repro-agg`):
-//! `loadgen` runs the deterministic client swarm and prints one
-//! byte-comparable `agg <name> <bits> …` line per aggregate plus a
-//! `digest <bits>` line — identical for any `--shuffle`, `--shards`, or
-//! `--workers`. `serve` adds snapshot/restore (`repro-agg-snapshot-v1`)
-//! and kill-point control, and ends a *finished* run with the same
-//! `# manifest: {…}` trailer the traced commands emit, so `replay`
-//! re-executes the aggregation and verifies the digest bitwise. `agg
-//! bench` sweeps shard counts and fails (exit 1) on any digest
-//! divergence; `agg check` strict-parses a saved state document (exit 2
-//! on schema violations).
+//! Every command is a pure function from arguments + input to an output
+//! string — [`run`] takes the filesystem as a closure — so the entire CLI
+//! is unit-testable without spawning processes. One parser turns a
+//! command's arguments into one options struct, admitting only the flags
+//! on that command's allow-list; the modules hold the command families.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use repro_core::obs::{FaultSpec, RunManifest};
-use repro_core::prelude::*;
-use repro_core::select::VerifiedReducer;
-use repro_core::stats::{table::sci, Table};
+mod agg;
+mod chaos;
+mod manifest;
+mod opts;
+mod tools;
+mod trace;
+mod values;
+
+use opts::Opts;
 
 /// CLI errors: user-facing messages, no panics for bad input.
 ///
@@ -140,6 +83,15 @@ pub fn check_dispatch_env() -> Result<(), CliError> {
         .map_err(|e| err(e.to_string()))
 }
 
+/// Initialize the process-global flight recorder from the environment
+/// (`REPRO_FLIGHT`, `REPRO_POSTMORTEM`) and install the panic hook that
+/// dumps a post-mortem when the process dies mid-reduction. The binary
+/// calls this once before dispatching; it is idempotent.
+pub fn init_flight_from_env() {
+    let _ = repro_core::obs::flight::global();
+    repro_core::obs::flight::install_panic_hook();
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 repro-reduce — reproducible floating-point reductions
@@ -181,6 +133,10 @@ USAGE:
   repro-reduce agg bench   (loadgen flags; sweeps shards 1/4/16)
   repro-reduce agg check   --file F
 
+Every command, and the trace and agg families, prints this text for
+help, --help or -h. A flag another command takes is rejected with the
+list of commands that take it.
+
 Values come from positional args and/or --file (whitespace-separated;
 '-' = stdin). trace emits JSONL events plus '#' summary lines; with the
 same seed, 'trace chaos' event streams are byte-identical across runs.
@@ -209,329 +165,83 @@ Exit codes: 0 = success; 1 = failure or numerical divergence ('trace
 diff' divergent nodes, 'replay' mismatch); 2 = parse/schema error
 (malformed trace or manifest, unsupported schema, invalid REPRO_SIMD).";
 
-/// Parsed global options shared by value-consuming commands.
-#[derive(Debug, Default)]
-struct Opts {
-    values: Vec<f64>,
-    alg: Option<String>,
-    file_x: Option<String>,
-    file_y: Option<String>,
-    perms: u64,
-    tolerance: Option<f64>,
-    relative: bool,
-    bitwise: bool,
-    hex: bool,
-    shape: Option<String>,
-    dot: bool,
-    explain: bool,
-    n: Option<usize>,
-    k: Option<f64>,
-    dr: u32,
-    seed: u64,
-    ranks: Option<usize>,
-    drop: f64,
-    delay: f64,
-    dup: f64,
-    reorder: f64,
-    kill: usize,
-    topology: Option<String>,
-    wall: bool,
-    telemetry: bool,
-    sample: Option<u64>,
-    perturb: Option<usize>,
-    format: Option<String>,
-    out: Option<String>,
-    manifest: Option<String>,
+/// The filesystem as the commands see it (a closure, for testability).
+type ReadFile<'a> = dyn Fn(&str) -> Result<String, CliError> + 'a;
+
+/// A command's body.
+type Handler = fn(&Opts, &ReadFile) -> Result<String, CliError>;
+
+/// One command: the words that name it, whether it takes positional
+/// arguments (values or paths), the flags it accepts (space-separated
+/// groups), and its body.
+struct Command {
+    name: &'static str,
+    positionals: bool,
+    flags: &'static [&'static str],
+    run: Handler,
 }
 
-fn parse_opts(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<Opts, CliError> {
-    let mut o = Opts {
-        dr: 0,
-        seed: 2015,
-        perms: 20,
-        ..Default::default()
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let mut take = |name: &str| -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| err(format!("{name} needs a value")))
-        };
-        match a.as_str() {
-            "--alg" => o.alg = Some(take("--alg")?),
-            "--file" => {
-                let path = take("--file")?;
-                let text = read_file(&path)?;
-                for tok in text.split_whitespace() {
-                    o.values.push(
-                        tok.parse()
-                            .map_err(|_| err(format!("bad value in file: {tok:?}")))?,
-                    );
-                }
-            }
-            "--tolerance" => {
-                let t = take("--tolerance")?;
-                o.tolerance = Some(
-                    t.parse()
-                        .map_err(|_| err(format!("bad tolerance: {t:?}")))?,
-                )
-            }
-            "--relative" => o.relative = true,
-            "--bitwise" => o.bitwise = true,
-            "--hex" => o.hex = true,
-            "--shape" => o.shape = Some(take("--shape")?),
-            "--dot" => o.dot = true,
-            "--explain" => o.explain = true,
-            "--n" => {
-                let v = take("--n")?;
-                o.n = Some(v.parse().map_err(|_| err(format!("bad --n: {v:?}")))?)
-            }
-            "--k" => {
-                let v = take("--k")?;
-                o.k = Some(if v == "inf" {
-                    f64::INFINITY
-                } else {
-                    v.parse().map_err(|_| err(format!("bad --k: {v:?}")))?
-                })
-            }
-            "--dr" => {
-                let v = take("--dr")?;
-                o.dr = v.parse().map_err(|_| err(format!("bad --dr: {v:?}")))?
-            }
-            "--file-x" => o.file_x = Some(take("--file-x")?),
-            "--file-y" => o.file_y = Some(take("--file-y")?),
-            "--perms" => {
-                let v = take("--perms")?;
-                o.perms = v.parse().map_err(|_| err(format!("bad --perms: {v:?}")))?
-            }
-            "--seed" => {
-                let v = take("--seed")?;
-                o.seed = v.parse().map_err(|_| err(format!("bad --seed: {v:?}")))?
-            }
-            "--ranks" => {
-                let v = take("--ranks")?;
-                o.ranks = Some(v.parse().map_err(|_| err(format!("bad --ranks: {v:?}")))?)
-            }
-            "--drop" => {
-                let v = take("--drop")?;
-                o.drop = v.parse().map_err(|_| err(format!("bad --drop: {v:?}")))?
-            }
-            "--delay" => {
-                let v = take("--delay")?;
-                o.delay = v.parse().map_err(|_| err(format!("bad --delay: {v:?}")))?
-            }
-            "--dup" => {
-                let v = take("--dup")?;
-                o.dup = v.parse().map_err(|_| err(format!("bad --dup: {v:?}")))?
-            }
-            "--reorder" => {
-                let v = take("--reorder")?;
-                o.reorder = v
-                    .parse()
-                    .map_err(|_| err(format!("bad --reorder: {v:?}")))?
-            }
-            "--kill" => {
-                let v = take("--kill")?;
-                o.kill = v.parse().map_err(|_| err(format!("bad --kill: {v:?}")))?
-            }
-            "--topology" => o.topology = Some(take("--topology")?),
-            "--wall" => o.wall = true,
-            "--telemetry" => o.telemetry = true,
-            "--sample" => {
-                let v = take("--sample")?;
-                o.sample = Some(v.parse().map_err(|_| err(format!("bad --sample: {v:?}")))?)
-            }
-            "--perturb" => {
-                let v = take("--perturb")?;
-                o.perturb = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("bad --perturb: {v:?}")))?,
-                )
-            }
-            "--format" => o.format = Some(take("--format")?),
-            "--out" => o.out = Some(take("--out")?),
-            "--manifest" => o.manifest = Some(take("--manifest")?),
-            _ if a.starts_with("--") => return Err(err(format!("unknown option {a}"))),
-            _ => o
-                .values
-                .push(a.parse().map_err(|_| err(format!("bad value: {a:?}")))?),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
-    match s.to_ascii_uppercase().as_str() {
-        "ST" => Ok(Algorithm::Standard),
-        "K" => Ok(Algorithm::Kahan),
-        "N" => Ok(Algorithm::Neumaier),
-        "PW" => Ok(Algorithm::Pairwise),
-        "CP" => Ok(Algorithm::Composite),
-        "DD" => Ok(Algorithm::DoubleDouble),
-        "PR" => Ok(Algorithm::PR),
-        "DS" => Ok(Algorithm::Distill),
-        other => Err(err(format!(
-            "unknown algorithm {other:?} (expected ST|K|N|PW|CP|DD|PR|DS)"
-        ))),
+impl Command {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags
+            .iter()
+            .flat_map(|g| g.split(' '))
+            .any(|f| f == flag)
     }
 }
 
-fn tolerance_of(o: &Opts) -> Result<Tolerance, CliError> {
-    if o.bitwise {
-        return Ok(Tolerance::Bitwise);
-    }
-    let t = o
-        .tolerance
-        .ok_or_else(|| err("--tolerance (or --bitwise) is required"))?;
-    Ok(if o.relative {
-        Tolerance::RelativeSpread(t)
-    } else {
-        Tolerance::AbsoluteSpread(t)
-    })
-}
-
-fn need_values(o: &Opts) -> Result<&[f64], CliError> {
-    if o.values.is_empty() {
-        Err(err("no input values (pass numbers or --file)"))
-    } else {
-        Ok(&o.values)
+const fn cmd(
+    name: &'static str,
+    positionals: bool,
+    flags: &'static [&'static str],
+    run: Handler,
+) -> Command {
+    Command {
+        name,
+        positionals,
+        flags,
+        run,
     }
 }
 
-/// Resolve `--telemetry` / `--sample` into a sampling policy. Telemetry is
-/// strictly opt-in: without `--telemetry` the config is off and the traced
-/// commands stay byte-identical to their pre-telemetry output.
-fn telemetry_cfg(o: &Opts) -> repro_core::obs::TelemetryConfig {
-    use repro_core::obs::TelemetryConfig;
-    if !o.telemetry {
-        TelemetryConfig::off()
-    } else {
-        match o.sample {
-            Some(every) => TelemetryConfig::sampled(every),
-            None => TelemetryConfig::full(),
-        }
-    }
-}
+const GEN: &str = "--n --k --dr --seed";
+const TOLERANCE: &str = "--tolerance --relative --bitwise";
+const TELEMETRY: &str = "--telemetry --sample --perturb";
+const FAULTS: &str = "--ranks --n --dr --seed --drop --delay --dup --reorder --kill";
+const LOAD: &str =
+    "--aggregates --clients --batches --batch-len --shards --workers --seed --shuffle";
 
-/// Apply `--perturb I`: nudge input `I` by exactly one ulp (one step in the
-/// bit representation). The forensic scenario — a single least-significant
-/// perturbation whose propagation `trace diff` then localizes.
-fn apply_perturb(values: &mut [f64], perturb: Option<usize>) -> Result<(), CliError> {
-    let Some(idx) = perturb else { return Ok(()) };
-    let v = *values.get(idx).ok_or_else(|| {
-        err(format!(
-            "--perturb {idx} out of range (only {} values)",
-            values.len()
-        ))
-    })?;
-    values[idx] = f64::from_bits(v.to_bits() + 1);
-    Ok(())
-}
-
-/// Initialize the process-global flight recorder from the environment
-/// (`REPRO_FLIGHT`, `REPRO_POSTMORTEM`) and install the panic hook that
-/// dumps a post-mortem when the process dies mid-reduction. The binary
-/// calls this once before dispatching; it is idempotent.
-pub fn init_flight_from_env() {
-    let _ = repro_core::obs::flight::global();
-    repro_core::obs::flight::install_panic_hook();
-}
-
-/// The `REPRO_*` environment variables that can change a run's numerics
-/// or its observability envelope — the set a manifest must capture for
-/// the replay contract to hold across shells.
-const MANIFEST_ENV_VARS: [&str; 5] = [
-    "REPRO_FLIGHT",
-    "REPRO_POSTMORTEM",
-    "REPRO_RUNTIME_WORKERS",
-    "REPRO_SCALE",
-    "REPRO_SIMD",
+/// Every command and the flags it accepts: the allow-lists the parser
+/// enforces. A two-word name belongs to a family (`trace`, `agg`).
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("sum",          true,  &["--alg --hex --file --manifest"], values::sum),
+    cmd("profile",      true,  &["--file"], values::profile),
+    cmd("select",       true,  &[TOLERANCE, "--explain --file"], values::select),
+    cmd("verify",       true,  &[TOLERANCE, "--seed --file"], values::verify),
+    cmd("compare",      true,  &["--file"], values::compare),
+    cmd("gen",          false, &[GEN], values::gen),
+    cmd("dot",          false, &["--file-x --file-y --alg"], values::dot),
+    cmd("calibrate",    false, &["--n --perms --seed"], values::calibrate),
+    cmd("tree",         true,  &["--shape --alg --dot --seed --file"], values::tree),
+    cmd("chaos",        false, &[FAULTS, "--topology"], chaos::chaos),
+    cmd("trace reduce", true,  &[GEN, TOLERANCE, TELEMETRY, "--wall --file --manifest"], trace::reduce),
+    cmd("trace chaos",  false, &[FAULTS, TELEMETRY, "--manifest"], chaos::trace_chaos),
+    cmd("trace check",  false, &["--file"], trace::check),
+    cmd("trace diff",   true,  &[], trace::diff),
+    cmd("report",       true,  &[GEN, TOLERANCE, "--format --sample --file"], trace::report),
+    cmd("bench",        false, &["--out"], tools::bench),
+    cmd("simd",         false, &["--check"], tools::simd),
+    cmd("replay",       true,  &[], manifest::replay),
+    cmd("flight",       false, &["--dump"], tools::flight),
+    cmd("agg loadgen",  false, &[LOAD], agg::loadgen),
+    cmd("agg serve",    false, &[LOAD, "--restore --snapshot --start-at --stop-at --manifest"], agg::serve),
+    cmd("agg bench",    false, &[LOAD], agg::bench),
+    cmd("agg check",    false, &["--file"], agg::check),
 ];
 
-/// Capture the manifest-relevant environment: only variables that are
-/// actually set, in fixed (sorted) order so the manifest is deterministic.
-fn manifest_env() -> Vec<(String, String)> {
-    MANIFEST_ENV_VARS
-        .iter()
-        .filter_map(|name| std::env::var(name).ok().map(|v| (name.to_string(), v)))
-        .collect()
-}
-
-/// The active SIMD tier's label for manifest embedding. Dispatch was
-/// validated at startup, so an error here degenerates to a marker rather
-/// than failing the run.
-fn simd_tier_label() -> String {
-    repro_core::fp::simd::try_active_tier()
-        .map(|t| t.label().to_string())
-        .unwrap_or_else(|_| "invalid".to_string())
-}
-
-/// Render the run's tolerance the way manifests spell it: `bitwise`,
-/// `abs:<v>`, or `rel:<v>` (mirrors the `tolerance_of` defaulting used by
-/// the traced commands: no `--tolerance` means bitwise).
-fn manifest_tolerance(o: &Opts) -> String {
-    match o.tolerance {
-        _ if o.bitwise => "bitwise".to_string(),
-        None => "bitwise".to_string(),
-        Some(t) if o.relative => format!("rel:{t}"),
-        Some(t) => format!("abs:{t}"),
-    }
-}
-
-/// Start a manifest for one CLI workload with everything that is known
-/// before the reduction runs: shape knobs, tolerance, environment, SIMD
-/// tier, telemetry policy, and the input itself (embedded as exact bit
-/// patterns when explicit and small enough, else marked generated or
-/// external). `pre_perturb` must be the input *before* `--perturb` was
-/// applied — replay re-applies the recorded perturbation.
-fn manifest_for(cmd: &str, o: &Opts, pre_perturb: &[f64], generated: bool) -> RunManifest {
-    use repro_core::obs::manifest::MAX_EMBEDDED_VALUES;
-    let mut m = RunManifest::new(cmd);
-    m.n = pre_perturb.len() as u64;
-    m.dr = o.dr as u64;
-    m.seed = o.seed;
-    m.tolerance = manifest_tolerance(o);
-    m.simd_tier = simd_tier_label();
-    m.env = manifest_env();
-    m.telemetry = o.telemetry;
-    m.sample = o.sample;
-    m.perturb = o.perturb.map(|i| i as u64);
-    if generated {
-        m.source = "generated".to_string();
-    } else if pre_perturb.len() <= MAX_EMBEDDED_VALUES {
-        m.source = "embedded".to_string();
-        m.values_bits = Some(pre_perturb.iter().map(|v| v.to_bits()).collect());
-    } else {
-        m.source = "external".to_string();
-    }
-    m
-}
-
-/// Finish a manifest-carrying command: append the `# manifest: {...}`
-/// trailer (the last line of the output, so `replay` can consume a saved
-/// trace directly), park the final manifest on the flight recorder for
-/// post-mortem embedding, and honor `--manifest PATH`.
-fn finish_with_manifest(
-    mut out: String,
-    manifest: &RunManifest,
-    o: &Opts,
-) -> Result<String, CliError> {
-    let json = manifest.to_json();
-    repro_core::obs::flight::global().set_manifest_json(Some(json.clone()));
-    out.push_str("\n# manifest: ");
-    out.push_str(&json);
-    if let Some(path) = &o.manifest {
-        std::fs::write(path, format!("{json}\n"))
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-    }
-    Ok(out)
+fn is_help(arg: &str) -> bool {
+    matches!(arg, "help" | "--help" | "-h")
 }
 
 /// Run one command; `read_file` abstracts the filesystem for testability.
@@ -539,1453 +249,43 @@ pub fn run(
     args: &[String],
     read_file: &dyn Fn(&str) -> Result<String, CliError>,
 ) -> Result<String, CliError> {
-    let (cmd, rest) = args.split_first().ok_or_else(|| err(USAGE))?;
-    // `trace check` consumes --file as raw trace text, not floats, so the
-    // trace family dispatches before the shared option parser runs.
-    if cmd == "trace" {
-        return run_trace(rest, read_file);
+    let (word, rest) = args.split_first().ok_or_else(|| err(USAGE))?;
+    if is_help(word) {
+        return Ok(USAGE.to_string());
     }
-    // `simd --check <tier>` takes a tier name, not floats.
-    if cmd == "simd" {
-        return run_simd(rest);
-    }
-    // `replay` consumes a manifest path, `flight` only takes --dump DIR.
-    if cmd == "replay" {
-        return run_replay(rest, read_file);
-    }
-    if cmd == "flight" {
-        return run_flight(rest);
-    }
-    // `agg` has its own flag set (counts, not floats) and subcommands.
-    if cmd == "agg" {
-        return run_agg(rest, read_file);
-    }
-    let o = parse_opts(rest, read_file)?;
-    match cmd.as_str() {
-        "sum" => {
-            let values = need_values(&o)?;
-            let alg = parse_algorithm(o.alg.as_deref().unwrap_or("PR"))?;
-            let result = alg.sum(values);
-            let rendered = if o.hex {
-                repro_core::fp::format_hex(result)
-            } else {
-                format!("{result:.17e}")
-            };
-            let mut manifest = manifest_for("sum", &o, values, false);
-            manifest.workers = 1;
-            manifest.algorithm = alg.abbrev().to_string();
-            manifest.result_bits = Some(result.to_bits());
-            finish_with_manifest(
-                format!(
-                    "{rendered}\n# algorithm: {alg} ({})\n# exact error: {}",
-                    alg.name(),
-                    sci(repro_core::fp::abs_error(result, values)),
-                ),
-                &manifest,
-                &o,
-            )
-        }
-        "profile" => {
-            let values = need_values(&o)?;
-            let p = repro_core::select::profile(values);
-            let m = repro_core::gen::measure(values);
-            let mut t = Table::new(&["quantity", "estimated (1 pass)", "exact"]);
-            t.row(&["n".into(), p.n.to_string(), m.n.to_string()]);
-            t.row(&["condition number k".into(), sci(p.k), sci(m.k)]);
-            t.row(&[
-                "dynamic range (decades)".into(),
-                p.dr_decades().to_string(),
-                m.dr.to_string(),
-            ]);
-            t.row(&["Σ|x|".into(), sci(p.abs_sum), sci(m.abs_sum)]);
-            t.row(&["Σx".into(), sci(p.sum_estimate), sci(m.sum)]);
-            let mut rec = Table::new(&["tolerance", "recommended operator"]);
-            for r in repro_core::select::recommendations(values) {
-                rec.row(&[format!("{:?}", r.tolerance), r.algorithm.to_string()]);
-            }
-            Ok(format!(
-                "{}\nrecommendations:\n{}",
-                t.render(),
-                rec.render()
-            ))
-        }
-        "select" => {
-            let values = need_values(&o)?;
-            let tol = tolerance_of(&o)?;
-            let reducer = AdaptiveReducer::heuristic(tol);
-            let out = reducer.reduce(values);
-            let mut text = format!(
-                "{:.17e}\n# selected: {} ({})\n# profile: n = {}, k ≈ {}, dr ≈ {} decades",
-                out.sum,
-                out.algorithm,
-                out.algorithm.name(),
-                out.profile.n,
-                sci(out.profile.k),
-                out.profile.dr_decades(),
-            );
-            if o.explain {
-                text.push('\n');
-                text.push_str(&repro_core::select::explain(&out.profile, tol).render());
-            }
-            Ok(text)
-        }
-        "verify" => {
-            let values = need_values(&o)?;
-            let tol = if o.bitwise || o.tolerance.is_none() {
-                Tolerance::Bitwise
-            } else {
-                tolerance_of(&o)?
-            };
-            let reducer = VerifiedReducer::new(tol, o.seed);
-            let out = reducer
-                .reduce(values)
-                .ok_or_else(|| err("no algorithm on the ladder satisfied the tolerance"))?;
-            let ladder = out
-                .disagreements
-                .iter()
-                .map(|(a, d)| format!("{}: disagreement {}", a.abbrev(), sci(*d)))
-                .collect::<Vec<_>>()
-                .join("\n# ");
-            Ok(format!(
-                "{:.17e}\n# accepted: {}\n# {}",
-                out.sum, out.algorithm, ladder
-            ))
-        }
-        "compare" => {
-            let values = need_values(&o)?;
-            let exact = repro_core::fp::exact_sum_acc(values);
-            let mut t = Table::new(&["algorithm", "result", "|error| vs exact", "reproducible"]);
-            for alg in Algorithm::ALL {
-                let r = alg.sum(values);
-                t.row(&[
-                    alg.to_string(),
-                    format!("{r:+.17e}"),
-                    sci(repro_core::fp::abs_error_vs(&exact, r)),
-                    if alg.is_reproducible() {
-                        "bitwise".into()
-                    } else {
-                        "no".into()
-                    },
-                ]);
-            }
-            t.row(&[
-                "exact".into(),
-                format!("{:+.17e}", exact.to_f64()),
-                "0".into(),
-                "—".into(),
-            ]);
-            Ok(t.render())
-        }
-        "gen" => {
-            let n = o.n.ok_or_else(|| err("gen requires --n"))?;
-            let k = o.k.unwrap_or(1.0);
-            let values = repro_core::gen::grid_cell(n, k, o.dr, o.seed, 1e16);
-            let mut out = String::with_capacity(values.len() * 24);
-            for v in &values {
-                out.push_str(&format!("{v:e}\n"));
-            }
-            out.pop();
-            Ok(out)
-        }
-        "dot" => {
-            let parse_vec = |path: &Option<String>, flag: &str| -> Result<Vec<f64>, CliError> {
-                let path = path
-                    .as_ref()
-                    .ok_or_else(|| err(format!("dot requires {flag}")))?;
-                read_file(path)?
-                    .split_whitespace()
-                    .map(|t| {
-                        t.parse()
-                            .map_err(|_| err(format!("bad value {t:?} in {path}")))
-                    })
-                    .collect()
-            };
-            let x = parse_vec(&o.file_x, "--file-x")?;
-            let y = parse_vec(&o.file_y, "--file-y")?;
-            if x.len() != y.len() {
-                return Err(err(format!("length mismatch: {} vs {}", x.len(), y.len())));
-            }
-            use repro_core::sum::{dot2, dot_exact, dot_reproducible, dot_standard};
-            let result = match o
-                .alg
-                .as_deref()
-                .unwrap_or("PR")
-                .to_ascii_uppercase()
-                .as_str()
-            {
-                "ST" => dot_standard(&x, &y),
-                "CP" => dot2(&x, &y),
-                "PR" => dot_reproducible(&x, &y, 3),
-                other => return Err(err(format!("dot supports ST|CP|PR, got {other:?}"))),
-            };
-            Ok(format!(
-                "{result:.17e}\n# exact error: {}",
-                sci((result - dot_exact(&x, &y)).abs())
-            ))
-        }
-        "tree" => {
-            let values = need_values(&o)?;
-            let shape = match o.shape.as_deref().unwrap_or("balanced") {
-                "balanced" => repro_core::tree::TreeShape::Balanced,
-                "serial" => repro_core::tree::TreeShape::Serial,
-                "random" => repro_core::tree::TreeShape::Random { seed: o.seed },
-                "binomial" => repro_core::tree::TreeShape::Binomial,
-                other => {
-                    return Err(err(format!(
-                        "unknown shape {other:?} (expected balanced|serial|random|binomial)"
-                    )))
-                }
-            };
-            let tree = repro_core::tree::ReductionTree::build(shape, values.len());
-            if o.dot {
-                return Ok(tree.render_dot(values));
-            }
-            let (root, residuals) = tree.error_attribution(values);
-            let total = repro_core::fp::exact_sum(&residuals);
-            let mut out = tree.render(values);
-            out.push_str(&format!(
-                "\n# result: {root:.17e}\n# total rounding error: {}\n# worst nodes:",
-                sci(total.abs()),
-            ));
-            for (id, e) in tree.worst_nodes(values, 3) {
-                out.push_str(&format!("\n#   node {id}: {}", sci(e)));
-            }
-            Ok(out)
-        }
-        "calibrate" => {
-            let cfg = repro_core::select::CalibrationConfig {
-                n: o.n.unwrap_or(4096),
-                permutations: o.perms,
-                seed: o.seed,
-                ..Default::default()
-            };
-            let table = repro_core::select::calibrate(&cfg);
-            Ok(table.to_csv())
-        }
-        "chaos" => run_chaos(&o),
-        "report" => run_report(&o),
-        "bench" => run_bench(&o),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
-    }
-}
-
-/// `chaos`: run a fault-injected distributed reduction and check that the
-/// healed result is bitwise identical to a sequential reference over the
-/// survivor set, then demo the checkpoint-resumable engine on the same data.
-fn run_chaos(o: &Opts) -> Result<String, CliError> {
-    use repro_core::mpisim::{ft_reduce_sum, FaultPlan, ReduceConfig, ReduceTopology, World};
-    use repro_core::runtime::CheckpointStore;
-
-    let ranks = o.ranks.unwrap_or(8);
-    let n = o.n.unwrap_or(4096);
-    let topo_name = o.topology.as_deref().unwrap_or("binomial");
-    let topology = match topo_name {
-        "binomial" => ReduceTopology::Binomial,
-        "flat" => ReduceTopology::FlatArrival,
-        "chain" => ReduceTopology::Chain,
-        other => {
-            return Err(err(format!(
-                "unknown topology {other:?} (expected binomial|flat|chain)"
-            )))
-        }
+    let subs = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(word.as_str())?.strip_prefix(' '))
+        .collect::<Vec<_>>()
+        .join("|");
+    let (name, rest, unknown) = match rest.split_first() {
+        _ if subs.is_empty() => (
+            word.clone(),
+            rest,
+            format!("unknown command {word:?}\n\n{USAGE}"),
+        ),
+        None => return Err(err(format!("{word} needs a subcommand: {subs}"))),
+        Some((sub, _)) if is_help(sub) => return Ok(USAGE.to_string()),
+        Some((sub, tail)) => (
+            format!("{word} {sub}"),
+            tail,
+            format!("unknown {word} subcommand {sub:?} (expected {subs})"),
+        ),
     };
-    let cfg = ReduceConfig::validated(topology, 0, 0).map_err(|e| err(e.0))?;
-    let mut plan = FaultPlan::new(o.seed)
-        .with_drop(o.drop)
-        .with_delay(o.delay, 1_500)
-        .with_duplicate(o.dup)
-        .with_reorder(o.reorder)
-        .with_timeouts(std::time::Duration::from_millis(10), 2);
-    // Kill the K highest ranks a few ops in — early enough that a single
-    // collective actually observes the failure and heals around it.
-    for i in 0..o.kill.min(ranks.saturating_sub(1)) {
-        plan = plan.with_kill(ranks - 1 - i, 3 + i as u64);
-    }
-    plan.validate().map_err(|e| err(e.0))?;
-
-    let values = repro_core::gen::zero_sum_with_range(n, o.dr, o.seed);
-    let per = n.div_ceil(ranks.max(1));
-    let chunk = |rank: usize| -> &[f64] { &values[(rank * per).min(n)..((rank + 1) * per).min(n)] };
-
-    let report = World::run_report(ranks, &plan, |comm| {
-        ft_reduce_sum(comm, chunk(comm.rank()), Algorithm::PR, 0, &cfg)
-    })
-    .map_err(|e| err(e.0))?;
-
-    let outcome = match &report.results[0] {
-        Ok(out) => out,
-        Err(e) => {
-            return Err(err(format!(
-                "root rank failed: {e}\n# report: {}",
-                report.summary()
-            )))
-        }
-    };
-    let sum = outcome
-        .value
-        .ok_or_else(|| err("root rank returned no value"))?;
-
-    // Sequential reference over the survivor set's inputs: PR is bitwise
-    // reproducible, so the healed distributed result must match exactly.
-    let mut reference = BinnedSum::new(3);
-    for &rank in &outcome.survivors {
-        reference.add_slice(chunk(rank));
-    }
-    let check = if reference.finalize().to_bits() == sum.to_bits() {
-        "OK (bitwise)".to_string()
-    } else {
-        format!("FAIL (reference {:.17e})", reference.finalize())
-    };
-
-    // Checkpoint-resumable engine demo on the same data: chunk 0 fails its
-    // first attempt, the engine retries it and heals the plan.
-    let rt = Runtime::new(2);
-    let rplan = ReductionPlan::with_chunk_count(values.len(), ranks.max(2));
-    let mut store = CheckpointStore::for_plan(&rplan);
-    let fail_once = |c: usize, attempt: u32| c == 0 && attempt == 0;
-    let (_, stats) = rt
-        .accumulate_resumable(
-            &values,
-            &rplan,
-            || BinnedSum::new(3),
-            &mut store,
-            Some(&fail_once),
-        )
-        .map_err(|e| err(e.to_string()))?;
-
-    Ok(format!(
-        "{sum:.17e}\n\
-         # survivors: {:?} (rounds={})\n\
-         # report: {}\n\
-         # survivor reference (PR fold=3): {check}\n\
-         # checkpoint demo: retries={} heals={} checkpoint_restores={}\n\
-         # replay: repro-reduce chaos --ranks {ranks} --n {n} --dr {} --seed {} \
-         --drop {} --delay {} --dup {} --reorder {} --kill {} --topology {topo_name}",
-        outcome.survivors,
-        outcome.rounds,
-        report.summary(),
-        stats.retries,
-        stats.heals,
-        stats.checkpoint_restores,
-        o.dr,
-        o.seed,
-        o.drop,
-        o.delay,
-        o.dup,
-        o.reorder,
-        o.kill,
-    ))
-}
-
-/// `trace`: the observability family. Dispatches to a subcommand; each one
-/// emits JSON Lines events followed by `#`-prefixed human summary lines.
-fn run_trace(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    let (sub, rest) = args
-        .split_first()
-        .ok_or_else(|| err("trace needs a subcommand: reduce|chaos|check|diff"))?;
-    match sub.as_str() {
-        "reduce" => run_trace_reduce(&parse_opts(rest, read_file)?),
-        "chaos" => run_trace_chaos(&parse_opts(rest, read_file)?),
-        "check" => run_trace_check(rest, read_file),
-        "diff" => run_trace_diff(rest, read_file),
-        other => Err(err(format!(
-            "unknown trace subcommand {other:?} (expected reduce|chaos|check|diff)"
-        ))),
-    }
-}
-
-/// `trace reduce`: run the selector and the threaded runtime over one input
-/// with tracing on. The selector contributes a `decision` record in the
-/// `select` subsystem; the runtime contributes plan-derived `chunk_exec` /
-/// `merge` spans in the `runtime` subsystem (identical for any worker
-/// count); execution facts land in the metrics registry, rendered as `#`
-/// comment lines so the JSONL stream stays deterministic.
-fn run_trace_reduce(o: &Opts) -> Result<String, CliError> {
-    let (out, manifest) = trace_reduce_with_manifest(o)?;
-    finish_with_manifest(out, &manifest, o)
-}
-
-/// The `trace reduce` workload proper, returning the rendered trace (sans
-/// manifest trailer) alongside the completed [`RunManifest`] — `replay`
-/// re-runs this and compares manifests instead of scraping output text.
-fn trace_reduce_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError> {
-    use repro_core::obs::{render_jsonl, Registry, Trace};
-
-    let (mut values, generated): (Vec<f64>, bool) = if o.values.is_empty() {
-        let n = o.n.unwrap_or(4096);
-        (
-            repro_core::gen::grid_cell(n, o.k.unwrap_or(1.0), o.dr, o.seed, 1e16),
-            true,
-        )
-    } else {
-        (o.values.clone(), false)
-    };
-    let mut manifest = manifest_for("reduce", o, &values, generated);
-    manifest.workers = 2;
-    if generated {
-        manifest.k = Some(o.k.unwrap_or(1.0));
-    }
-    // Park the provisional manifest before any numeric work: a post-mortem
-    // from a mid-reduction death must still say what run was in flight.
-    repro_core::obs::flight::global().set_manifest_json(Some(manifest.to_json()));
-    apply_perturb(&mut values, o.perturb)?;
-    let tol = if o.bitwise || o.tolerance.is_none() {
-        Tolerance::Bitwise
-    } else {
-        tolerance_of(o)?
-    };
-    let telemetry = telemetry_cfg(o);
-
-    let (trace, sink) = Trace::to_memory();
-    let trace = trace.with_wall_clock(o.wall);
-    let registry = Registry::new();
-
-    let mut select_scope = trace.scope("select");
-    let reducer = AdaptiveReducer::heuristic(tol);
-    // With telemetry on, the selector also measures the realized spread of
-    // its choice and records it beside the prediction (calibration drift).
-    let outcome = if telemetry.enabled() {
-        reducer.reduce_telemetry(&values, &mut select_scope, Some(&registry))
-    } else {
-        reducer.reduce_traced(&values, &mut select_scope)
-    };
-
-    // Test hook for the post-mortem contract: die between selection and
-    // the runtime reduction, exactly where a real crash loses the most
-    // context — the subprocess test asserts the dump still explains us.
-    if std::env::var("REPRO_FLIGHT_TEST_PANIC").as_deref() == Ok("reduce") {
-        panic!("injected mid-reduction panic (REPRO_FLIGHT_TEST_PANIC=reduce)");
-    }
-
-    let mut runtime_scope = trace.scope("runtime");
-    let rt = Runtime::new(2);
-    let plan = ReductionPlan::for_len(values.len());
-    let (sum, stats) = rt.reduce_telemetry(
-        &values,
-        &plan,
-        || BinnedSum::new(3),
-        &mut runtime_scope,
-        telemetry,
-        Some(&registry),
-    );
-
-    stats.publish(&registry, "runtime");
-
-    manifest.algorithm = outcome.algorithm.abbrev().to_string();
-    manifest.cost_source = repro_core::select::explain(&outcome.profile, tol).cost_source;
-    manifest.selector_bits = Some(outcome.sum.to_bits());
-    manifest.result_bits = Some(sum.to_bits());
-
-    let mut out = render_jsonl(&sink.drain());
-    out.push_str(&format!(
-        "# trace reduce: n={} selected={} selector sum={:.17e} PR sum={:.17e}\n",
-        values.len(),
-        outcome.algorithm,
-        outcome.sum,
-        sum,
-    ));
-    for line in registry.snapshot().render().lines() {
-        out.push_str("# metric ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.pop();
-    Ok((out, manifest))
-}
-
-/// `trace chaos`: a fault-injected distributed gather whose event stream is
-/// a pure function of the seed. Unlike the `chaos` command's fault-tolerant
-/// collective (whose retry/round structure depends on thread timing), this
-/// runs a fixed communication script: every non-root rank sends its chunk
-/// as [`SEGMENTS`] PR-checkpoint strings on predetermined tags, and the root
-/// polls every (rank, segment) slot with directed timed receives in a fixed
-/// order, dropping a rank wholesale on its first timeout. All fault draws
-/// come from per-rank seeded streams, so two runs with the same seed yield
-/// byte-identical JSONL (and PR merging keeps the healed sum bitwise equal
-/// to a sequential reference over the survivor set).
-fn run_trace_chaos(o: &Opts) -> Result<String, CliError> {
-    let (out, manifest) = trace_chaos_with_manifest(o)?;
-    finish_with_manifest(out, &manifest, o)
-}
-
-/// The `trace chaos` workload proper; see [`trace_reduce_with_manifest`]
-/// for the split's rationale.
-fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError> {
-    use repro_core::mpisim::{FaultError, FaultPlan, World};
-    use repro_core::obs::{f, render_jsonl, Trace};
-
-    const SEGMENTS: usize = 4;
-
-    let ranks = o.ranks.unwrap_or(6);
-    let n = o.n.unwrap_or(2048);
-    let telemetry = telemetry_cfg(o);
-    let mut plan = FaultPlan::new(o.seed)
-        .with_drop(o.drop)
-        .with_delay(o.delay, 1_500)
-        .with_duplicate(o.dup)
-        .with_reorder(o.reorder)
-        .with_timeouts(std::time::Duration::from_millis(10), 2);
-    // Same policy as `chaos`: kill the K highest ranks, never the root.
-    for i in 0..o.kill.min(ranks.saturating_sub(1)) {
-        plan = plan.with_kill(ranks - 1 - i, 3 + i as u64);
-    }
-    plan.validate().map_err(|e| err(e.0))?;
-
-    let mut values = repro_core::gen::zero_sum_with_range(n, o.dr, o.seed);
-    let mut manifest = manifest_for("chaos", o, &values, true);
-    manifest.workers = ranks as u64;
-    manifest.algorithm = "PR".to_string();
-    manifest.fault = Some(FaultSpec {
-        drop: o.drop,
-        delay: o.delay,
-        dup: o.dup,
-        reorder: o.reorder,
-        kill: o.kill as u64,
-    });
-    // Parked before the world runs: a fault-plane kill triggers an
-    // incident dump that must name this run.
-    repro_core::obs::flight::global().set_manifest_json(Some(manifest.to_json()));
-    apply_perturb(&mut values, o.perturb)?;
-    let values = values;
-    let per = n.div_ceil(ranks.max(1));
-    let chunk = |rank: usize| -> &[f64] { &values[(rank * per).min(n)..((rank + 1) * per).min(n)] };
-    let tag = |rank: usize, seg: usize| ((rank as u64) << 8) | seg as u64;
-
-    let (report, events) = World::run_report_traced(ranks, &plan, true, |comm| {
-        let rank = comm.rank();
-        let mine = chunk(rank);
-        if rank == 0 {
-            let mut merged = BinnedSum::new(3);
-            merged.add_slice(mine);
-            if telemetry.enabled() {
-                // The root's own chunk is its leaf in the gather tree.
-                chaos_node_event(comm, telemetry, 1, "leaf.r0", 0, merged.finalize(), &[mine]);
-            }
-            let mut survivors = vec![0usize];
-            for src in 1..comm.size() {
-                let mut partials = Vec::with_capacity(SEGMENTS);
-                for seg in 0..SEGMENTS {
-                    match comm.recv_timeout::<String>(src, tag(src, seg)) {
-                        Ok(cp) => match BinnedSum::restore(&cp) {
-                            Some(p) => partials.push(p),
-                            None => {
-                                partials.clear();
-                                break;
-                            }
-                        },
-                        Err(FaultError::Timeout { .. }) => {
-                            // A dead or lossy rank: skip its remaining
-                            // segments rather than paying the timeout
-                            // budget three more times.
-                            partials.clear();
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                if partials.len() == SEGMENTS {
-                    for p in &partials {
-                        merged.merge(p);
-                    }
-                    survivors.push(src);
-                }
-            }
-            let sum = merged.finalize();
-            if telemetry.enabled() {
-                // The merged gather result over the survivor set — ordinal 0
-                // so the root is always exact-sampled when sampling is on.
-                let parts: Vec<&[f64]> = survivors.iter().map(|&r| chunk(r)).collect();
-                chaos_node_event(comm, telemetry, 0, "root", 0, sum, &parts);
-            }
-            comm.trace_event(
-                "gather_done",
-                vec![
-                    f("survivors", format!("{survivors:?}")),
-                    f("sum_bits", format!("{:016x}", sum.to_bits())),
-                ],
-            );
-            Ok((sum, survivors))
-        } else {
-            let seg_len = mine.len().div_ceil(SEGMENTS).max(1);
-            for seg in 0..SEGMENTS {
-                let lo = (seg * seg_len).min(mine.len());
-                let hi = ((seg + 1) * seg_len).min(mine.len());
-                let mut part = BinnedSum::new(3);
-                part.add_slice(&mine[lo..hi]);
-                if telemetry.enabled() {
-                    chaos_node_event(
-                        comm,
-                        telemetry,
-                        (rank * SEGMENTS + seg) as u64 + 1,
-                        &format!("leaf.r{rank}.s{seg}"),
-                        rank * per + lo,
-                        part.finalize(),
-                        &[&mine[lo..hi]],
-                    );
-                }
-                comm.try_send(0, tag(rank, seg), part.checkpoint())?;
-            }
-            Ok((0.0, Vec::new()))
-        }
-    })
-    .map_err(|e| err(e.0))?;
-
-    let (sum, survivors) = match &report.results[0] {
-        Ok(v) => v.clone(),
-        Err(e) => return Err(err(format!("root rank failed: {e}"))),
-    };
-
-    // PR finalize is invariant under deposit order and merge trees, so the
-    // segment-merged gather must match a flat sequential pass bitwise.
-    let mut reference = BinnedSum::new(3);
-    for &r in &survivors {
-        reference.add_slice(chunk(r));
-    }
-    let check = if reference.finalize().to_bits() == sum.to_bits() {
-        "OK (bitwise)".to_string()
-    } else {
-        format!("FAIL (reference {:.17e})", reference.finalize())
-    };
-
-    // One selector decision record per traced run: profile the full input
-    // and record what the selector would do for a bitwise budget.
-    let (trace, sink) = Trace::to_memory();
-    let mut select_scope = trace.scope("select");
-    let profile = repro_core::select::profile_parallel(&values);
-    let explanation = repro_core::select::explain(&profile, Tolerance::Bitwise);
-    repro_core::select::record_decision(&mut select_scope, &profile, &explanation);
-    let select_events = sink.drain();
-    let total_events = select_events.len() + events.len();
-
-    let mut out = render_jsonl(&select_events);
-    out.push_str(&render_jsonl(&events));
-    out.push_str(&format!(
-        "# trace chaos: ranks={ranks} n={n} seed={} events={total_events}\n\
-         # ranks: completed={} failed={}\n\
-         # survivors: {survivors:?}\n\
-         # sum: {sum:.17e}\n\
-         # survivor reference (PR fold=3): {check}\n\
-         # replay: repro-reduce trace chaos --ranks {ranks} --n {n} --dr {} --seed {} \
-         --drop {} --delay {} --dup {} --reorder {} --kill {}",
-        o.seed,
-        report.completed,
-        report.failed,
-        o.dr,
-        o.seed,
-        o.drop,
-        o.delay,
-        o.dup,
-        o.reorder,
-        o.kill,
-    ));
-    if o.telemetry {
-        out.push_str(" --telemetry");
-        if let Some(every) = o.sample {
-            out.push_str(&format!(" --sample {every}"));
-        }
-    }
-    if let Some(idx) = o.perturb {
-        out.push_str(&format!(" --perturb {idx}"));
-    }
-    manifest.cost_source = explanation.cost_source.clone();
-    manifest.result_bits = Some(sum.to_bits());
-    Ok((out, manifest))
-}
-
-/// Emit one numerical-telemetry `node` event from the chaos gather script:
-/// partial-sum bits, Higham bound over the node's elements, and — when the
-/// node's ordinal is exact-sampled — the ulp deviation against a
-/// superaccumulator shadow. Node ids (`leaf.r{rank}.s{seg}`, `leaf.r0`,
-/// `root`) derive from the fixed gather plan, never from timing, so
-/// `trace diff` can align them across runs with different fault draws.
-fn chaos_node_event(
-    comm: &mut repro_core::mpisim::Comm,
-    telemetry: repro_core::obs::TelemetryConfig,
-    ordinal: u64,
-    node: &str,
-    start: usize,
-    partial: f64,
-    parts: &[&[f64]],
-) {
-    use repro_core::obs::f;
-    let mut exact = Superaccumulator::new();
-    let mut abs = Superaccumulator::new();
-    let mut n = 0usize;
-    for part in parts {
-        exact.add_slice(part);
-        abs.add_slice_abs(part);
-        n += part.len();
-    }
-    let mut fields = vec![
-        f("node", node.to_string()),
-        f("start", start as u64),
-        f("len", n as u64),
-        f("sum_bits", format!("{:016x}", partial.to_bits())),
-        f("bound", repro_core::fp::higham_bound(n, abs.to_f64())),
-    ];
-    if telemetry.sample_exact(ordinal) {
-        let shadow = exact.to_f64();
-        fields.push(f("ulps", repro_core::fp::ulp_distance(partial, shadow)));
-        fields.push(f("exact_bits", format!("{:016x}", shadow.to_bits())));
-    }
-    comm.trace_event("node", fields);
-}
-
-/// `trace diff`: align two saved traces by plan-derived node id (never by
-/// sequence position), report the first numerically divergent node, and
-/// walk the divergence to its leaf-interval origin. A clean diff returns
-/// `Ok` (exit 0); any divergence or alignment gap returns the same report
-/// as an error (exit 1), so CI can gate on it directly.
-fn run_trace_diff(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    let mut paths = Vec::new();
-    for a in args {
-        if a.starts_with("--") {
-            return Err(err(format!(
-                "trace diff takes two trace files, got option {a}"
-            )));
-        }
-        paths.push(a.clone());
-    }
-    if paths.len() != 2 {
-        return Err(err(format!(
-            "trace diff requires exactly two trace files, got {}",
-            paths.len()
-        )));
-    }
-    let a = read_file(&paths[0])?;
-    let b = read_file(&paths[1])?;
-    // Parse/schema failures exit 2; numerical divergence exits 1 — CI can
-    // distinguish "the traces disagree" from "I couldn't read the traces".
-    let report = repro_core::obs::forensics::diff_traces(&a, &b)
-        .map_err(|e| err_schema(format!("trace diff: {e}")))?;
-    let rendered = report.render();
-    if report.is_clean() {
-        Ok(rendered)
-    } else {
-        // A divergence is an incident: flush the flight rings so the
-        // post-mortem (when configured) carries the forensic context.
-        repro_core::obs::flight::incident("trace.diff.divergence");
-        Err(err(rendered))
-    }
-}
-
-/// `simd`: report the runtime SIMD dispatch decision. With no arguments,
-/// prints the active tier, where the decision came from (`REPRO_SIMD`
-/// override or CPU feature detection), and every tier this CPU supports.
-/// `--check <tier>` answers through the exit status — the CI matrix probes
-/// it before exporting `REPRO_SIMD=<tier>`, so an unavailable tier is
-/// skipped loudly instead of silently exercising the fallback.
-fn run_simd(rest: &[String]) -> Result<String, CliError> {
-    use repro_core::fp::simd;
-    match rest {
-        [] => {
-            // Surface an invalid REPRO_SIMD as a diagnostic + nonzero exit,
-            // not the silent library fallback (and never a panic).
-            let active = simd::try_active_tier().map_err(|e| err(e.to_string()))?;
-            let tiers: Vec<&str> = simd::supported_tiers().iter().map(|t| t.label()).collect();
-            Ok(format!(
-                "active: {}\nsource: {}\nsupported: {}",
-                active.label(),
-                simd::dispatch_source(),
-                tiers.join(" "),
-            ))
-        }
-        [flag, tier] if flag == "--check" => {
-            let t = simd::SimdTier::parse(tier)
-                .ok_or_else(|| err(format!("--check {tier:?}: expected scalar|sse2|avx2")))?;
-            if simd::tier_supported(t) {
-                Ok(format!("{} supported", t.label()))
-            } else {
-                Err(err(format!("{} not supported on this CPU", t.label())))
-            }
-        }
-        _ => Err(err("usage: repro-reduce simd [--check scalar|sse2|avx2]")),
-    }
-}
-
-/// `bench`: run the tracked throughput harness (`repro_bench::throughput`)
-/// at the current `REPRO_SCALE` and write the fixed-schema `BENCH_*.json`
-/// document — the repo's perf trajectory, one comparable point per PR.
-/// `--out -` prints the JSON (plus `#` summary lines) instead of writing;
-/// the default target is `BENCH_10.json` in the working directory.
-fn run_bench(o: &Opts) -> Result<String, CliError> {
-    use repro_bench::throughput;
-    let entries = throughput::run_suite();
-    let json = throughput::render_json(&entries);
-    let ratio = throughput::batched_over_scalar_ratio(&entries)
-        .ok_or_else(|| err("bench suite missing superaccumulator entries"))?;
-    let summary = format!(
-        "# {} ops at scale {:?}, n = {}, seed = {}, rev = {}\n\
-         # batched/scalar superaccumulator throughput ratio: {ratio:.2}x",
-        entries.len(),
-        repro_bench::scale(),
-        entries.first().map(|e| e.n).unwrap_or(0),
-        entries.first().map(|e| e.seed).unwrap_or(0),
-        entries.first().map(|e| e.git_rev.as_str()).unwrap_or("?"),
-    );
-    let out = o.out.as_deref().unwrap_or("BENCH_10.json");
-    if out == "-" {
-        Ok(format!("{json}{summary}"))
-    } else {
-        std::fs::write(out, &json).map_err(|e| err(format!("writing {out}: {e}")))?;
-        Ok(format!("# wrote {out}\n{summary}"))
-    }
-}
-
-/// `report`: run one telemetried workload (selector + threaded runtime over
-/// a generated or given input) and render the resulting metrics registry —
-/// node counts, the ulp-deviation histogram, predicted vs realized selector
-/// spread — as Prometheus text exposition or as a self-contained
-/// zero-dependency HTML page with the per-node error trajectory.
-fn run_report(o: &Opts) -> Result<String, CliError> {
-    use repro_core::obs::{forensics, render_jsonl, report, Registry, TelemetryConfig, Trace};
-
-    let values: Vec<f64> = if o.values.is_empty() {
-        let n = o.n.unwrap_or(4096);
-        repro_core::gen::grid_cell(n, o.k.unwrap_or(1.0), o.dr, o.seed, 1e16)
-    } else {
-        o.values.clone()
-    };
-    // A report without node telemetry would be empty, so the sampling
-    // policy defaults to full instead of off here.
-    let telemetry = match o.sample {
-        Some(every) => TelemetryConfig::sampled(every),
-        None => TelemetryConfig::full(),
-    };
-    let tol = if o.bitwise || o.tolerance.is_none() {
-        Tolerance::Bitwise
-    } else {
-        tolerance_of(o)?
-    };
-
-    let (trace, sink) = Trace::to_memory();
-    let registry = Registry::new();
-
-    let mut select_scope = trace.scope("select");
-    let reducer = AdaptiveReducer::heuristic(tol);
-    let outcome = reducer.reduce_telemetry(&values, &mut select_scope, Some(&registry));
-
-    let mut runtime_scope = trace.scope("runtime");
-    let rt = Runtime::new(2);
-    // Eight-way chunking (rather than the default single chunk at these
-    // sizes) so the error trajectory shows a real merge tree.
-    let plan = ReductionPlan::with_chunk_count(values.len(), 8);
-    let (_, stats) = rt.reduce_telemetry(
-        &values,
-        &plan,
-        || BinnedSum::new(3),
-        &mut runtime_scope,
-        telemetry,
-        Some(&registry),
-    );
-    stats.publish(&registry, "runtime");
-
-    let text = render_jsonl(&sink.drain());
-    let nodes = forensics::collect_nodes(&text).map_err(|e| err(format!("report: {e}")))?;
-    let snap = registry.snapshot();
-    match o.format.as_deref().unwrap_or("prom") {
-        "prom" => Ok(report::render_prometheus(&snap)),
-        "html" => Ok(report::render_html(
-            &format!(
-                "repro-reduce report — n={} seed={} selected={}",
-                values.len(),
-                o.seed,
-                outcome.algorithm,
-            ),
-            &snap,
-            &nodes,
-        )),
-        other => Err(err(format!(
-            "unknown report format {other:?} (expected prom|html)"
-        ))),
-    }
-}
-
-/// `trace check`: re-parse a saved trace and enforce the schema contract
-/// (JSON object per line, string `sub`/`kind`, strictly increasing `seq`
-/// per subsystem; `#` comments and blank lines ignored).
-fn run_trace_check(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    let mut file = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                file = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--file needs a value"))?,
-                );
-            }
-            other => return Err(err(format!("trace check takes only --file, got {other:?}"))),
-        }
-        i += 1;
-    }
-    let path = file.ok_or_else(|| err("trace check requires --file"))?;
-    let text = read_file(&path)?;
-    let summary = repro_core::obs::validate_trace(&text)
-        .map_err(|e| err_schema(format!("invalid trace: {e}")))?;
-    Ok(format!(
-        "# trace OK: events={} subsystems={:?} dropped={}",
-        summary.events, summary.subsystems, summary.dropped
-    ))
-}
-
-/// Pull the manifest JSON out of what `replay` was handed: either a bare
-/// manifest file (one JSON object) or a saved trace whose last
-/// `# manifest: ` trailer carries it.
-fn extract_manifest_json(text: &str) -> Option<&str> {
-    let trimmed = text.trim();
-    if trimmed.starts_with('{') && !trimmed.contains('\n') {
-        return Some(trimmed);
-    }
-    trimmed
-        .lines()
-        .rev()
-        .find_map(|l| l.strip_prefix("# manifest: "))
-}
-
-/// `replay`: re-execute the run a manifest describes and compare results
-/// bitwise. A manifest that cannot be parsed, has an unsupported schema,
-/// or is not replayable exits 2; a bitwise mismatch — the replay contract
-/// broken — exits 1; only exact bit-for-bit agreement exits 0.
-fn run_replay(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    let [path] = args else {
-        return Err(err("usage: repro-reduce replay MANIFEST.json"));
-    };
-    let text = read_file(path)?;
-    let json = extract_manifest_json(&text)
-        .ok_or_else(|| err_schema(format!("replay: no manifest found in {path}")))?;
-    let stored = RunManifest::parse(json).map_err(|e| err_schema(format!("replay: {e}")))?;
-    if !stored.replayable() {
-        return Err(err_schema(format!(
-            "replay: manifest source {:?} is not replayable (input neither embedded nor generated)",
-            stored.source
-        )));
-    }
-
-    let fresh = replay_execute(&stored)?;
-
-    let mut mismatches = Vec::new();
-    let mut check_bits = |what: &str, recorded: Option<u64>, replayed: Option<u64>| {
-        if let (Some(a), Some(b)) = (recorded, replayed) {
-            if a != b {
-                mismatches.push(format!("{what}: recorded {a:016x} replayed {b:016x}"));
-            }
-        }
-    };
-    check_bits("result_bits", stored.result_bits, fresh.result_bits);
-    check_bits("selector_bits", stored.selector_bits, fresh.selector_bits);
-    if !stored.algorithm.is_empty() && stored.algorithm != fresh.algorithm {
-        mismatches.push(format!(
-            "algorithm: recorded {} replayed {}",
-            stored.algorithm, fresh.algorithm
-        ));
-    }
-    if !mismatches.is_empty() {
-        repro_core::obs::flight::incident("replay.divergence");
-        return Err(err(format!(
-            "replay DIVERGED: cmd={} n={} seed={}\n  {}",
-            stored.cmd,
-            stored.n,
-            stored.seed,
-            mismatches.join("\n  "),
-        )));
-    }
-    let bits = stored.result_bits.unwrap_or(0);
-    Ok(format!(
-        "replay OK (bitwise): cmd={} n={} seed={} algorithm={} result_bits={bits:016x}\n\
-         # manifest simd_tier={} current={}",
-        stored.cmd,
-        stored.n,
-        stored.seed,
-        fresh.algorithm,
-        stored.simd_tier,
-        simd_tier_label(),
-    ))
-}
-
-/// Re-execute the workload a manifest describes and return the freshly
-/// completed manifest (carrying the recomputed result bits).
-fn replay_execute(m: &RunManifest) -> Result<RunManifest, CliError> {
-    let mut o = Opts {
-        dr: m.dr as u32,
-        seed: m.seed,
-        perms: 20,
-        ..Default::default()
-    };
-    o.n = Some(m.n as usize);
-    o.telemetry = m.telemetry;
-    o.sample = m.sample;
-    o.perturb = m.perturb.map(|i| i as usize);
-    match m.tolerance.as_str() {
-        "bitwise" => o.bitwise = true,
-        t => {
-            if let Some(v) = t.strip_prefix("abs:") {
-                o.tolerance =
-                    Some(v.parse().map_err(|_| {
-                        err_schema(format!("replay: bad manifest tolerance {t:?}"))
-                    })?);
-            } else if let Some(v) = t.strip_prefix("rel:") {
-                o.relative = true;
-                o.tolerance =
-                    Some(v.parse().map_err(|_| {
-                        err_schema(format!("replay: bad manifest tolerance {t:?}"))
-                    })?);
-            } else {
-                return Err(err_schema(format!("replay: bad manifest tolerance {t:?}")));
-            }
-        }
-    }
-    if let Some(bits) = &m.values_bits {
-        o.values = bits.iter().map(|&b| f64::from_bits(b)).collect();
-    }
-    match m.cmd.as_str() {
-        "reduce" => {
-            o.k = m.k;
-            trace_reduce_with_manifest(&o).map(|(_, manifest)| manifest)
-        }
-        "chaos" => {
-            o.ranks = Some(m.workers as usize);
-            if let Some(fault) = &m.fault {
-                o.drop = fault.drop;
-                o.delay = fault.delay;
-                o.dup = fault.dup;
-                o.reorder = fault.reorder;
-                o.kill = fault.kill as usize;
-            }
-            trace_chaos_with_manifest(&o).map(|(_, manifest)| manifest)
-        }
-        "sum" => {
-            if o.values.is_empty() {
-                return Err(err_schema("replay: sum manifest has no embedded values"));
-            }
-            let alg = parse_algorithm(&m.algorithm)
-                .map_err(|e| err_schema(format!("replay: {}", e.msg)))?;
-            let mut fresh = m.clone();
-            fresh.result_bits = Some(alg.sum(&o.values).to_bits());
-            Ok(fresh)
-        }
-        // `agg serve` manifests reuse the generic numeric slots (see
-        // `agg_manifest`): dr = aggregates, k = clients, perturb =
-        // batches, sample = batch_len. Shards and arrival shuffle are
-        // deliberately NOT recorded — the digest is invariant to both, so
-        // replaying with the defaults is a *stronger* check than
-        // repeating the recorded topology.
-        "agg" => {
-            use repro_core::agg::{loadgen, AggConfig, AggEngine, LoadSpec};
-            let spec = LoadSpec {
-                aggregates: m.dr as usize,
-                clients: m.k.unwrap_or(0.0) as usize,
-                batches: m.perturb.unwrap_or(0) as usize,
-                batch_len: m.sample.unwrap_or(0) as usize,
-                seed: m.seed,
-                shuffle: 0,
-                workers: (m.workers as usize).max(1),
-            };
-            if spec.total_updates() == 0 || spec.total_updates() != m.n {
-                return Err(err_schema(format!(
-                    "replay: agg manifest shape mismatch (n={} vs aggregates*clients*batches*batch_len={})",
-                    m.n,
-                    spec.total_updates(),
-                )));
-            }
-            let engine = AggEngine::new(AggConfig::default());
-            loadgen::run(&engine, &spec, 0, None);
-            let mut fresh = m.clone();
-            fresh.result_bits = Some(engine.digest_bits());
-            Ok(fresh)
-        }
-        other => Err(err_schema(format!(
-            "replay: unknown manifest cmd {other:?}"
-        ))),
-    }
-}
-
-/// `flight`: show the process-global flight recorder — enabled state, ring
-/// capacity, per-subsystem retained/dropped/recorded counts, and the
-/// `obs.overhead.*` self-accounting. `--dump DIR` additionally writes a
-/// `postmortem.jsonl` there, the same document an incident would produce.
-fn run_flight(args: &[String]) -> Result<String, CliError> {
-    use repro_core::obs::flight;
-    let mut dump_dir = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dump" => {
-                i += 1;
-                dump_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| err("--dump needs a directory"))?,
-                );
-            }
-            other => return Err(err(format!("flight takes only --dump DIR, got {other:?}"))),
-        }
-        i += 1;
-    }
-    let rec = flight::global();
-    let ring = rec.ring();
-    let mut out = format!(
-        "# flight recorder: enabled={} capacity={} dumps={}",
-        rec.enabled(),
-        ring.capacity(),
-        rec.dumps_written(),
-    );
-    for snap in ring.snapshot() {
-        out.push_str(&format!(
-            "\n# ring {}: retained={} dropped={} recorded={}",
-            snap.sub,
-            snap.events.len(),
-            snap.dropped,
-            snap.recorded,
-        ));
-    }
-    let registry = repro_core::obs::Registry::new();
-    rec.account(&registry);
-    for line in registry.snapshot().render().lines() {
-        out.push_str("\n# metric ");
-        out.push_str(line);
-    }
-    if let Some(dir) = dump_dir {
-        rec.set_dump_dir(Some(std::path::PathBuf::from(&dir)));
-        match rec.dump("cli.flight.dump") {
-            Some(path) => out.push_str(&format!("\n# wrote {}", path.display())),
-            None => out.push_str("\n# no dump written (recorder disabled)"),
-        }
-    }
-    Ok(out)
-}
-
-/// Parsed options for the `agg` family (counts, not floats, so it does
-/// not share [`Opts`]).
-struct AggOpts {
-    spec: repro_core::agg::LoadSpec,
-    shards: usize,
-    restore: Option<String>,
-    snapshot: Option<String>,
-    start_at: usize,
-    stop_at: Option<usize>,
-    manifest: Option<String>,
-    file: Option<String>,
-}
-
-/// `agg` workload defaults at the current `REPRO_SCALE`:
-/// `(aggregates, clients, batches, batch_len)`. The default scale is the
-/// headline configuration — thousands of clients, millions of updates —
-/// sized so `agg bench` still finishes in seconds.
-fn agg_scale_defaults() -> (usize, usize, usize, usize) {
-    match repro_bench::scale() {
-        repro_bench::Scale::Quick => (2, 64, 4, 64),
-        repro_bench::Scale::Default => (4, 1024, 8, 256),
-        repro_bench::Scale::Full => (8, 4096, 16, 256),
-    }
-}
-
-fn parse_agg_opts(args: &[String]) -> Result<AggOpts, CliError> {
-    let (aggregates, clients, batches, batch_len) = agg_scale_defaults();
-    let mut o = AggOpts {
-        spec: repro_core::agg::LoadSpec {
-            aggregates,
-            clients,
-            batches,
-            batch_len,
-            seed: 2015,
-            shuffle: 1,
-            workers: 4,
-        },
-        shards: 4,
-        restore: None,
-        snapshot: None,
-        start_at: 0,
-        stop_at: None,
-        manifest: None,
-        file: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let mut take = |name: &str| -> Result<String, CliError> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| err(format!("{name} needs a value")))
-        };
-        let int = |name: &str, v: String| -> Result<usize, CliError> {
-            v.parse()
-                .map_err(|_| err(format!("{name} {v:?}: expected a non-negative integer")))
-        };
-        match a.as_str() {
-            "--aggregates" => o.spec.aggregates = int(a, take("--aggregates")?)?,
-            "--clients" => o.spec.clients = int(a, take("--clients")?)?,
-            "--batches" => o.spec.batches = int(a, take("--batches")?)?,
-            "--batch-len" => o.spec.batch_len = int(a, take("--batch-len")?)?,
-            "--shards" => o.shards = int(a, take("--shards")?)?,
-            "--workers" => o.spec.workers = int(a, take("--workers")?)?,
-            "--seed" => o.spec.seed = int(a, take("--seed")?)? as u64,
-            "--shuffle" => o.spec.shuffle = int(a, take("--shuffle")?)? as u64,
-            "--restore" => o.restore = Some(take("--restore")?),
-            "--snapshot" => o.snapshot = Some(take("--snapshot")?),
-            "--start-at" => o.start_at = int(a, take("--start-at")?)?,
-            "--stop-at" => o.stop_at = Some(int(a, take("--stop-at")?)?),
-            "--manifest" => o.manifest = Some(take("--manifest")?),
-            "--file" => o.file = Some(take("--file")?),
-            other => return Err(err(format!("unknown agg option {other:?}"))),
-        }
-        i += 1;
-    }
-    if o.spec.aggregates == 0 || o.shards == 0 {
-        return Err(err("agg needs --aggregates >= 1 and --shards >= 1"));
-    }
-    Ok(o)
-}
-
-/// The byte-comparable half of `agg` output: one line per aggregate
-/// (name order) plus the engine digest. CI smoke gates diff exactly
-/// these lines (everything not starting with `#`) across shuffles,
-/// shard counts, and kill/restore splits.
-fn render_agg_lines(engine: &repro_core::agg::AggEngine) -> String {
-    let mut out = String::new();
-    for agg in engine.aggregates() {
-        let bits = agg.finalize_bits();
-        out.push_str(&format!(
-            "agg {} {bits:016x} {:.17e} op={} updates={}\n",
-            agg.name(),
-            f64::from_bits(bits),
-            agg.op().label(),
-            agg.updates(),
-        ));
-    }
-    out.push_str(&format!("digest {:016x}", engine.digest_bits()));
-    out
-}
-
-/// Start a manifest for an `agg serve` run. The generic numeric slots
-/// carry the load shape — `dr` = aggregates, `k` = clients, `perturb` =
-/// batches, `sample` = batch_len, `n` = total updates — and shards /
-/// shuffle are intentionally omitted: the digest is invariant to both,
-/// so `replay` re-runs with defaults and must still match bitwise.
-fn agg_manifest(spec: &repro_core::agg::LoadSpec, result_bits: u64) -> RunManifest {
-    let mut m = RunManifest::new("agg");
-    m.n = spec.total_updates();
-    m.k = Some(spec.clients as f64);
-    m.dr = spec.aggregates as u64;
-    m.seed = spec.seed;
-    m.workers = spec.workers as u64;
-    m.sample = Some(spec.batch_len as u64);
-    m.perturb = Some(spec.batches as u64);
-    m.tolerance = "bitwise".to_string();
-    m.simd_tier = simd_tier_label();
-    m.env = manifest_env();
-    m.source = "generated".to_string();
-    m.result_bits = Some(result_bits);
-    m
-}
-
-/// `agg loadgen` / `agg serve`: drain the seeded client swarm into a
-/// fresh (or `--restore`d) engine, print the comparable `agg`/`digest`
-/// lines plus `#` throughput stats, optionally `--snapshot` the final
-/// state, and — for `serve` runs that completed the schedule — append
-/// the replayable `# manifest:` trailer.
-fn run_agg_load(
-    o: &AggOpts,
-    serve: bool,
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    use repro_core::agg::{loadgen, AggConfig, AggEngine};
-    let config = AggConfig {
-        shards: o.shards,
-        ..AggConfig::default()
-    };
-    let engine = match &o.restore {
-        Some(path) => AggEngine::restore(&read_file(path)?, config)
-            .map_err(|e| err_schema(format!("agg serve --restore {path}: {e}")))?,
-        None => AggEngine::new(config),
-    };
-    let spec = &o.spec;
-    let started = std::time::Instant::now();
-    let deposited = loadgen::run(&engine, spec, o.start_at, o.stop_at);
-    let elapsed = started.elapsed().as_secs_f64();
-    if let Some(path) = &o.snapshot {
-        std::fs::write(path, engine.serialize())
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-    }
-    let rate = if elapsed > 0.0 {
-        deposited as f64 / elapsed
-    } else {
-        f64::INFINITY
-    };
-    let mut out = render_agg_lines(&engine);
-    out.push_str(&format!(
-        "\n# agg: aggregates={} clients={} batches={} batch_len={} shards={} workers={} seed={} shuffle={}",
-        spec.aggregates,
-        spec.clients,
-        spec.batches,
-        spec.batch_len,
-        o.shards,
-        spec.workers,
-        spec.seed,
-        spec.shuffle,
-    ));
-    out.push_str(&format!(
-        "\n# deposited {deposited} updates in {elapsed:.3}s ({rate:.0} updates/sec)"
-    ));
-    if let Some(path) = &o.snapshot {
-        out.push_str(&format!("\n# snapshot: wrote {path}"));
-    }
-    if !serve {
-        return Ok(out);
-    }
-    // Only a *finished* schedule gets a manifest: a partial run's digest
-    // is not what a fresh replay of the full workload would produce.
-    let finished = o.stop_at.map_or(true, |stop| stop >= spec.total_batches());
-    if !finished {
-        out.push_str(&format!(
-            "\n# partial run (stopped at event {} of {}): no manifest",
-            o.stop_at.unwrap_or(0),
-            spec.total_batches(),
-        ));
-        return Ok(out);
-    }
-    let manifest = agg_manifest(spec, engine.digest_bits());
-    let carrier = Opts {
-        manifest: o.manifest.clone(),
-        ..Default::default()
-    };
-    finish_with_manifest(out, &manifest, &carrier)
-}
-
-/// `agg bench`: run the identical workload at shard counts 1, 4, and 16,
-/// report per-configuration throughput, and fail (exit 1) unless every
-/// configuration finalizes to bit-identical digests — the engine's
-/// headline claim, measured and enforced in one command.
-fn run_agg_bench(o: &AggOpts) -> Result<String, CliError> {
-    use repro_core::agg::{loadgen, AggConfig, AggEngine};
-    let mut out = String::new();
-    let mut digests: Vec<(usize, u64)> = Vec::new();
-    let mut last: Option<AggEngine> = None;
-    for shards in [1usize, 4, 16] {
-        let engine = AggEngine::new(AggConfig {
-            shards,
-            ..AggConfig::default()
-        });
-        let started = std::time::Instant::now();
-        let deposited = loadgen::run(&engine, &o.spec, 0, None);
-        let elapsed = started.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            deposited as f64 / elapsed
-        } else {
-            f64::INFINITY
-        };
-        out.push_str(&format!(
-            "# shards={shards}: {deposited} updates in {elapsed:.3}s ({rate:.0} updates/sec)\n"
-        ));
-        digests.push((shards, engine.digest_bits()));
-        last = Some(engine);
-    }
-    let base = digests[0].1;
-    if let Some(&(shards, bits)) = digests.iter().find(|&&(_, bits)| bits != base) {
-        repro_core::obs::flight::incident("agg.bench.divergence");
-        return Err(err(format!(
-            "agg bench DIVERGED: shards=1 digest {base:016x} but shards={shards} digest {bits:016x}"
-        )));
-    }
-    let engine = last.expect("three configurations ran");
-    Ok(format!("{}{}", out, render_agg_lines(&engine)))
-}
-
-/// `agg check`: strict-parse a saved `repro-agg-snapshot-v1` (or a single
-/// `repro-agg-state-v1` document) and summarize it. Any malformed,
-/// truncated, or unknown-schema input exits 2 — the same contract as
-/// `trace check` and `replay`.
-fn run_agg_check(
-    o: &AggOpts,
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    use repro_core::agg::{parse_aggregate, parse_snapshot, ParsedAggregate, STATE_SCHEMA};
-    let path = o
-        .file
-        .as_ref()
-        .ok_or_else(|| err("agg check requires --file"))?;
-    let text = read_file(path)?;
-    let parsed: Vec<ParsedAggregate> = if text.starts_with(STATE_SCHEMA) {
-        let mut lines = text.lines();
-        let one = parse_aggregate(&mut lines)
-            .map_err(|e| err_schema(format!("invalid agg state: {e}")))?;
-        if lines.next().is_some() {
-            return Err(err_schema(
-                "invalid agg state: trailing lines after end marker",
-            ));
-        }
-        vec![one]
-    } else {
-        parse_snapshot(&text).map_err(|e| err_schema(format!("invalid agg state: {e}")))?
-    };
-    let updates: u64 = parsed.iter().map(|a| a.updates).sum();
-    let mut out = format!(
-        "# agg state OK: aggregates={} updates={updates}",
-        parsed.len()
-    );
-    for a in &parsed {
-        out.push_str(&format!(
-            "\n# {} op={} shards={} updates={} batches={}",
-            a.name,
-            a.op.label(),
-            a.shards.len(),
-            a.updates,
-            a.batches,
-        ));
-    }
-    Ok(out)
-}
-
-/// Dispatch the `agg` subcommands.
-fn run_agg(
-    args: &[String],
-    read_file: &dyn Fn(&str) -> Result<String, CliError>,
-) -> Result<String, CliError> {
-    let (sub, rest) = args
-        .split_first()
-        .ok_or_else(|| err("usage: repro-reduce agg loadgen|serve|bench|check ..."))?;
-    let o = parse_agg_opts(rest)?;
-    match sub.as_str() {
-        "loadgen" => {
-            if o.restore.is_some()
-                || o.snapshot.is_some()
-                || o.start_at != 0
-                || o.stop_at.is_some()
-                || o.manifest.is_some()
-            {
-                return Err(err("agg loadgen does not checkpoint; use agg serve for \
-                     --restore/--snapshot/--start-at/--stop-at/--manifest"));
-            }
-            run_agg_load(&o, false, read_file)
-        }
-        "serve" => run_agg_load(&o, true, read_file),
-        "bench" => run_agg_bench(&o),
-        "check" => run_agg_check(&o, read_file),
-        other => Err(err(format!(
-            "unknown agg subcommand {other:?} (expected loadgen|serve|bench|check)"
-        ))),
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| err(unknown))?;
+    match opts::parse(command, rest)? {
+        Some(o) => (command.run)(&o, read_file),
+        None => Ok(USAGE.to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_core::obs::RunManifest;
 
     fn no_fs(_: &str) -> Result<String, CliError> {
         Err(err("no filesystem in tests"))
@@ -2901,6 +1201,109 @@ mod tests {
         let a = run_cmd(&args).unwrap();
         let b = run_cmd(&args).unwrap();
         assert_eq!(manifest_line(&a), manifest_line(&b));
+    }
+
+    /// The one parser against its contract: every command `USAGE` lists
+    /// exists and accepts every flag `USAGE` gives it; the rejections the
+    /// per-family parsers made stay rejections (exit 1); and help is one
+    /// case at every level.
+    #[test]
+    fn parser_accepts_usage_flags_and_keeps_rejections() {
+        let section = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let mut documented: Vec<(String, Vec<String>)> = Vec::new();
+        for line in section.split("\n\n").next().unwrap().lines() {
+            let line = line.trim_start();
+            if let Some(rest) = line.strip_prefix("repro-reduce ") {
+                let name: Vec<&str> = rest
+                    .split_whitespace()
+                    .take_while(|w| w.bytes().all(|b| b.is_ascii_lowercase()))
+                    .collect();
+                documented.push((name.join(" "), Vec::new()));
+            }
+            let mut flags: Vec<String> = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|t| t.starts_with("--"))
+                .map(String::from)
+                .collect();
+            if line.contains("(loadgen flags") {
+                let loadgen = documented.iter().find(|(n, _)| n == "agg loadgen").unwrap();
+                flags.extend(loadgen.1.clone());
+            }
+            documented.last_mut().unwrap().1.extend(flags);
+        }
+        let names: Vec<&str> = documented.iter().map(|(n, _)| n.as_str()).collect();
+        let table: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names, table,
+            "USAGE and the command table list the same commands"
+        );
+        for (name, flags) in &documented {
+            let command = COMMANDS.iter().find(|c| c.name == name.as_str()).unwrap();
+            for flag in flags {
+                let parses = |args: &[&str]| {
+                    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+                    opts::parse(command, &args).is_ok()
+                };
+                assert!(
+                    parses(&[flag]) || parses(&[flag, "1"]),
+                    "{name} rejects its documented {flag}"
+                );
+            }
+        }
+
+        let serve_only = [
+            "--restore",
+            "--snapshot",
+            "--start-at",
+            "--stop-at",
+            "--manifest",
+        ];
+        for flag in serve_only {
+            let e = run_cmd(&["agg", "loadgen", flag, "1"]).unwrap_err();
+            assert!(e.msg.contains("agg serve"), "{flag}: {}", e.msg);
+        }
+        for args in [
+            &["agg", "loadgen", "--alg", "PR"][..],
+            &["agg", "serve", "--tolerance", "1"],
+            &["agg", "bench", "--n", "8"],
+            &["agg", "check", "--bitwise", "--file", "f"],
+            &["agg", "loadgen", "1.5"],
+            &["flight", "--seed", "1"],
+            &["trace", "check", "--file", "t", "--seed", "1"],
+            &["simd", "--n", "4"],
+            &["simd", "--bogus"],
+            &["agg", "loadgen", "--stop-at", "3"],
+            &["trace", "diff", "--file", "a"],
+            &["trace", "diff", "--telemetry", "a", "b"],
+            &["sum", "--nope", "1"],
+            &["trace", "reduce", "--nope"],
+            &["agg", "serve", "--nope", "1"],
+            &["bogus-command"],
+        ] {
+            let e = run_cmd(args).unwrap_err();
+            assert_eq!(e.code, 1, "{args:?}: {}", e.msg);
+        }
+
+        for args in [
+            &["help"][..],
+            &["--help"],
+            &["-h"],
+            &["agg", "help"],
+            &["agg", "--help"],
+            &["agg", "-h"],
+            &["agg", "loadgen", "--help"],
+            &["agg", "check", "-h"],
+            &["trace", "--help"],
+            &["trace", "reduce", "help"],
+            &["trace", "diff", "--help"],
+            &["sum", "--help"],
+            &["sum", "1", "2", "-h"],
+            &["flight", "--help"],
+            &["simd", "--help"],
+            &["replay", "--help"],
+        ] {
+            assert_eq!(run_cmd(args).unwrap(), USAGE, "{args:?}");
+        }
     }
 
     #[test]
