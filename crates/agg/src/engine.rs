@@ -18,14 +18,17 @@
 //! of ingested values* to the merged state is independent of: which shard
 //! each value landed in (shard count / client assignment), the order
 //! values arrived (client interleaving, worker count), and the shape of
-//! the merge tree over shards. [`merge_tree`] fixes stride-doubling order
-//! anyway — the same schedule the runtime's plan merge uses — so even a
-//! hypothetical order-sensitive operator would fail loudly in tests, not
-//! silently drift. Rounding to `f64` happens once, in `finalize`, after
+//! the merge tree over shards. [`Aggregate::merged_state`] fixes the
+//! stride-doubling order anyway, through
+//! [`repro_sum::lanes::merge_in_plan_order`] — the one fold the runtime's
+//! plan merge and the lane kernels also use — so even a hypothetical
+//! order-sensitive operator would fail loudly in tests, not silently
+//! drift. Rounding to `f64` happens once, in `finalize`, after
 //! the last merge.
 
 use crate::state::{self, valid_name, AggStateError, OperatorKind, ParsedAggregate, ShardState};
 use repro_select::{DecisionCache, Fingerprint, HeuristicSelector, Selector, Tolerance};
+use repro_sum::lanes::merge_in_plan_order;
 use repro_sum::{Accumulator, Algorithm};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,27 +82,6 @@ pub fn operator_for(algorithm: Algorithm, fold: usize) -> OperatorKind {
         a if a.is_reproducible() => OperatorKind::Exact,
         _ => OperatorKind::Binned { fold },
     }
-}
-
-/// Merge shard states with the stride-doubling schedule (partner
-/// `i + stride` folds into `i`, stride doubling each round) and return
-/// the root state. Returns `None` for an empty input.
-pub fn merge_tree(mut states: Vec<ShardState>) -> Option<ShardState> {
-    if states.is_empty() {
-        return None;
-    }
-    let mut stride = 1;
-    while stride < states.len() {
-        let mut i = 0;
-        while i + stride < states.len() {
-            let (left, right) = states.split_at_mut(i + stride);
-            left[i].merge(&right[0]);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-    states.truncate(1);
-    states.pop()
 }
 
 /// One named aggregate: `K` sharded partial states plus ingest counters.
@@ -188,7 +170,9 @@ impl Aggregate {
 
     /// The merged root state (stride-doubling over shard clones).
     pub fn merged_state(&self) -> ShardState {
-        merge_tree(self.shard_states()).expect("aggregates have at least one shard")
+        let states = self.shard_states().into_iter().map(Some).collect();
+        merge_in_plan_order(states, |_, _, a, b| a.merge(b))
+            .expect("aggregates have at least one shard")
     }
 
     /// Finalize: merge all shards, round once.
@@ -496,7 +480,11 @@ mod tests {
             }
             states
         };
-        let stride = merge_tree(build(7)).unwrap().finalize().to_bits();
+        let states = build(7).into_iter().map(Some).collect();
+        let stride = merge_in_plan_order(states, |_, _, a: &mut ShardState, b| a.merge(b))
+            .unwrap()
+            .finalize()
+            .to_bits();
         // Sequential left fold — a maximally unbalanced "tree".
         let mut seq = build(7);
         let mut acc = seq.remove(0);
@@ -504,7 +492,6 @@ mod tests {
             acc.merge(s);
         }
         assert_eq!(acc.finalize().to_bits(), stride);
-        assert!(merge_tree(Vec::new()).is_none());
     }
 
     #[test]

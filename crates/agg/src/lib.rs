@@ -36,7 +36,8 @@
 //! * [`Aggregate`] — one named aggregate: `K` mutex-guarded shards,
 //!   deterministic `client → shard` assignment, batched
 //!   [`repro_sum::Accumulator::add_slice`] ingest on the SIMD hot path,
-//!   stride-doubling [`merge_tree`] finalize ([`engine`]).
+//!   finalize through the shared stride-doubling plan-order fold
+//!   ([`repro_sum::lanes::merge_in_plan_order`], [`engine`]).
 //! * [`AggEngine`] — the named-aggregate registry, with per-aggregate
 //!   operators chosen by the `repro-select` selector under the engine's
 //!   accuracy budget and cached in a [`repro_select::DecisionCache`].
@@ -72,7 +73,7 @@ pub mod engine;
 pub mod loadgen;
 pub mod state;
 
-pub use engine::{merge_tree, operator_for, AggConfig, AggEngine, Aggregate};
+pub use engine::{operator_for, AggConfig, AggEngine, Aggregate};
 pub use loadgen::{aggregate_name, batch_values, batch_values_into, schedule, LoadEvent, LoadSpec};
 pub use state::{
     parse_aggregate, parse_snapshot, AggStateError, OperatorKind, ParsedAggregate, ShardState,

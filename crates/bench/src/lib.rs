@@ -280,7 +280,7 @@ pub mod throughput {
     use repro_core::fp::simd::{supported_tiers, SimdTier};
     use repro_core::fp::Superaccumulator;
     use repro_core::select::profile::{profile, profile_and_sum};
-    use repro_core::sum::lanes::{lane_chunks, merge_in_lane_order};
+    use repro_core::sum::lanes::{lane_chunks, merge_in_plan_order};
     use repro_core::sum::{Accumulator, Algorithm, StandardSum};
 
     /// One measured point of the fixed schema
@@ -440,14 +440,15 @@ pub mod throughput {
                 &rev,
                 reps,
                 |v| {
-                    let parts: Vec<Superaccumulator> = lane_chunks(v, lanes)
+                    let parts: Vec<Option<Superaccumulator>> = lane_chunks(v, lanes)
                         .map(|chunk| {
                             let mut lane = Superaccumulator::new();
                             lane.add_slice_dispatch(chunk, SimdTier::Scalar, lanes);
-                            lane
+                            Some(lane)
                         })
                         .collect();
-                    let acc = merge_in_lane_order(parts).unwrap_or_default();
+                    let acc =
+                        merge_in_plan_order(parts, |_, _, a, b| a.merge(b)).unwrap_or_default();
                     Accumulator::finalize(&acc)
                 },
             ));
@@ -518,12 +519,16 @@ pub mod throughput {
         // `--trace`-style streaming would pay).
         {
             use repro_core::obs::{f, JsonlSink, RingSink, Trace};
+            use std::hint::black_box;
             use std::sync::Arc;
+            // `black_box` on the scope and the fields keeps the optimizer
+            // from proving the scope disabled and deleting the loop.
             out.push(measure("obs/noop", &values, seed, &rev, reps, |v| {
                 let trace = Trace::disabled();
-                let mut scope = trace.scope("bench");
+                let mut scope = black_box(trace.scope("bench"));
                 for (i, &x) in v.iter().enumerate() {
-                    scope.event_with("e", || vec![f("i", i as u64), f("x", x)]);
+                    let (i, x) = black_box((i as u64, x));
+                    black_box(&mut scope).event_with("e", || vec![f("i", i), f("x", x)]);
                 }
                 v.len() as f64
             }));

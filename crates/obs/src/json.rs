@@ -30,12 +30,11 @@ impl Json {
     /// Parse a complete JSON document. Errors carry a byte offset and a
     /// short description.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(value)
@@ -66,14 +65,17 @@ impl Json {
     }
 }
 
+/// Recursive-descent state. `pos` is a byte offset that only ever stops
+/// on a char boundary of `text`: every token it steps over is ASCII
+/// except string runs, which end at an ASCII quote or backslash.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -83,7 +85,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -96,7 +98,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -141,7 +143,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
@@ -157,12 +160,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar, not one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash (both ASCII, so the run ends on a char
+                    // boundary) in one go.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -191,8 +196,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
@@ -410,6 +415,28 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_input() {
         for bad in ["{", "{\"a\":}", "[1,]", "tru", "{\"a\":1} extra", "\"\\q\""] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn strings_decode_utf8_runs_and_every_escape() {
+        let doc = r#"{"π ≈ 3.14 — ok 🦀":"ünï\"\\\/\b\f\n\r\té—\u00e9\u65e5 日本"}"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(
+            v.get("π ≈ 3.14 — ok 🦀").and_then(Json::as_str),
+            Some("ünï\"\\/\u{8}\u{c}\n\r\té—é日 日本")
+        );
+        // Truncated or unterminated input is still an error, never a panic.
+        for bad in [
+            "\"🦀",
+            "\"abc",
+            "\"abc\\",
+            "\"\\u00",
+            "\"\\u00e",
+            "{\"é\":\"ü",
+            "[\"日本\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
     }

@@ -1,9 +1,10 @@
 //! The reduction engine: plans executed on the persistent pool.
 
-use crate::plan::{merge_in_plan_order, merge_in_plan_order_indexed, MergeOrder, ReductionPlan};
-use crate::pool::ThreadPool;
+use crate::plan::{merge_in_plan_order, MergeOrder, ReductionPlan};
+use crate::pool::{PoolCounters, ThreadPool};
 use crate::stats::RuntimeStats;
 use repro_fp::Superaccumulator;
+use repro_sum::lanes::chunk_len_for_count;
 use repro_sum::Accumulator;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,8 +106,8 @@ pub enum ChunkKernel {
     /// `Accumulator::add_slice` — the operator's natural sequential loop.
     Scalar,
     /// [`repro_sum::lanes::accumulate_lanes`] with this many contiguous
-    /// lane chunks, merged through the fixed stride-doubling lane order —
-    /// the same decomposition/merge shape as [`crate::ReductionPlan`]
+    /// lane chunks, merged through [`crate::merge_in_plan_order`] — the
+    /// same decomposition/merge shape as [`crate::ReductionPlan`]
     /// (bitwise identical to [`ChunkKernel::Scalar`] for reproducible
     /// operators).
     Lanes(usize),
@@ -155,7 +156,7 @@ impl<A> CheckpointStore<A> {
     /// An empty store shaped for `plan`.
     pub fn for_plan(plan: &ReductionPlan) -> Self {
         CheckpointStore {
-            slots: (0..plan.num_chunks()).map(|_| None).collect(),
+            slots: plan_slots(plan),
         }
     }
 
@@ -346,67 +347,36 @@ impl Runtime {
             plan.len(),
             values.len()
         );
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
+        let meter = CallMeter::start(&self.pool);
         let mut merge_time = Duration::ZERO;
 
-        let result = self.pool.scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, A)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
-                let tx = tx.clone();
-                let make = &make;
-                let chunk = &values[range.clone()];
-                let chunk_nanos = &chunk_nanos;
-                s.spawn(move || {
+        // Arrival merges each partial into `root` in genuine completion
+        // order, overlapping the remaining chunk work; Plan slots them by
+        // chunk index for the fixed tree.
+        let mut root = (order == MergeOrder::Arrival).then(&make);
+        let mut slots = plan_slots(plan);
+        self.scatter(
+            plan,
+            0..plan.num_chunks(),
+            |_, range| meter.chunk(|| kernel.run(&make, &values[range])),
+            |i, part| match root.as_mut() {
+                Some(root) => {
                     let t = Instant::now();
-                    let acc = kernel.run(make, chunk);
-                    chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    // The root hangs up early only if it panicked; ignore.
-                    let _ = tx.send((i, acc));
-                });
-            }
-            drop(tx);
-            match order {
-                MergeOrder::Arrival => {
-                    // Merge in genuine completion order, overlapping the
-                    // remaining chunk work.
-                    let mut root = make();
-                    for (_, part) in rx.iter() {
-                        let t = Instant::now();
-                        root.merge(&part);
-                        merge_time += t.elapsed();
-                    }
-                    root
+                    root.merge(&part);
+                    merge_time += t.elapsed();
                 }
-                MergeOrder::Plan => {
-                    let mut slots: Vec<Option<A>> = (0..plan.num_chunks()).map(|_| None).collect();
-                    for (i, part) in rx.iter() {
-                        slots[i] = Some(part);
-                    }
-                    let t = Instant::now();
-                    let merged = merge_in_plan_order(slots, |a: &mut A, b: &A| a.merge(b))
-                        .expect("plan has at least one chunk");
-                    merge_time = t.elapsed();
-                    merged
-                }
-            }
+                None => slots[i] = Some(part),
+            },
+        );
+        let result = root.unwrap_or_else(|| {
+            let t = Instant::now();
+            let merged = merge_in_plan_order(slots, |_, _, a, b| a.merge(b))
+                .expect("plan has at least one chunk");
+            merge_time = t.elapsed();
+            merged
         });
 
-        let after = self.pool.counters();
-        let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
-            retries: 0,
-            heals: 0,
-            checkpoint_restores: 0,
-        };
+        let stats = meter.stats(&self.pool, plan, merge_time);
         // Flight-record the reduction's plan-derived shape (never the
         // timing fields) so a post-mortem shows what the runtime was doing
         // when the process died. One ring push per reduction — not per
@@ -511,31 +481,14 @@ impl Runtime {
                 f("merge_depth", plan.merge_depth()),
             ],
         );
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
-
-        let slots: Vec<Option<A>> = self.pool.scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, A)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
-                let tx = tx.clone();
-                let make = &make;
-                let chunk = &values[range.clone()];
-                let chunk_nanos = &chunk_nanos;
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let acc = ChunkKernel::Scalar.run(make, chunk);
-                    chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let _ = tx.send((i, acc));
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<A>> = (0..plan.num_chunks()).map(|_| None).collect();
-            for (i, part) in rx.iter() {
-                slots[i] = Some(part);
-            }
-            slots
-        });
+        let meter = CallMeter::start(&self.pool);
+        let mut slots = plan_slots(plan);
+        self.scatter(
+            plan,
+            0..plan.num_chunks(),
+            |_, range| meter.chunk(|| ChunkKernel::Scalar.run(&make, &values[range])),
+            |i, part| slots[i] = Some(part),
+        );
 
         // Shadow state for telemetry: per-chunk exact superaccumulators
         // and absolute-value sums, computed serially in plan order after
@@ -571,7 +524,7 @@ impl Runtime {
 
         let t = Instant::now();
         let mut merges = 0usize;
-        let result = merge_in_plan_order_indexed(slots, |i, stride, a: &mut A, b: &A| {
+        let result = merge_in_plan_order(slots, |i, stride, a: &mut A, b: &A| {
             scope.event("merge", vec![f("step", merges)]);
             merges += 1;
             a.merge(b);
@@ -595,21 +548,7 @@ impl Runtime {
             ],
         );
 
-        let after = self.pool.counters();
-        let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
-            retries: 0,
-            heals: 0,
-            checkpoint_restores: 0,
-        };
-        (sum, stats)
+        (sum, meter.stats(&self.pool, plan, merge_time))
     }
 
     /// Resumable reduction with checkpointed partials: every completed
@@ -649,51 +588,39 @@ impl Runtime {
                 plan_chunks: plan.num_chunks(),
             });
         }
-        let t0 = Instant::now();
-        let before = self.pool.counters();
-        let chunk_nanos = AtomicU64::new(0);
+        let meter = CallMeter::start(&self.pool);
         let checkpoint_restores = store.saved() as u64;
 
         let mut to_run: Vec<usize> = (0..plan.num_chunks())
             .filter(|&i| store.slots[i].is_none())
             .collect();
         let mut retries = 0u64;
-        let mut healed_chunks = 0u64;
+        let mut heals = 0u64;
         let mut attempt: u32 = 0;
         while !to_run.is_empty() && attempt < MAX_CHUNK_ATTEMPTS {
             if attempt > 0 {
                 retries += to_run.len() as u64;
             }
-            let completed: Vec<(usize, A)> = self.pool.scope(|s| {
-                let (tx, rx) = mpsc::channel::<(usize, A)>();
-                for &i in &to_run {
-                    let tx = tx.clone();
-                    let make = &make;
-                    let chunk = &values[plan.chunks()[i].clone()];
-                    let chunk_nanos = &chunk_nanos;
-                    let inject = &inject;
-                    s.spawn(move || {
-                        if inject.as_ref().is_some_and(|f| f(i, attempt)) {
-                            // Injected failure: the task dies without
-                            // reporting, exactly like a killed worker.
-                            return;
+            self.scatter(
+                plan,
+                to_run.iter().copied(),
+                |i, range| {
+                    // Injected failure: the task dies without a partial,
+                    // exactly like a killed worker.
+                    if inject.is_some_and(|f| f(i, attempt)) {
+                        return None;
+                    }
+                    Some(meter.chunk(|| ChunkKernel::Scalar.run(&make, &values[range])))
+                },
+                |i, acc| {
+                    if let Some(acc) = acc {
+                        if attempt > 0 {
+                            heals += 1;
                         }
-                        let t = Instant::now();
-                        let mut acc = make();
-                        acc.add_slice(chunk);
-                        chunk_nanos.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        let _ = tx.send((i, acc));
-                    });
-                }
-                drop(tx);
-                rx.iter().collect()
-            });
-            for (i, acc) in completed {
-                if attempt > 0 {
-                    healed_chunks += 1;
-                }
-                store.slots[i] = Some(acc);
-            }
+                        store.slots[i] = Some(acc);
+                    }
+                },
+            );
             to_run.retain(|&i| store.slots[i].is_none());
             attempt += 1;
         }
@@ -707,25 +634,12 @@ impl Runtime {
         // Merge clones of the checkpoints in plan order; the store keeps
         // the partials so a later caller can invalidate and resume.
         let t = Instant::now();
-        let slots: Vec<Option<A>> = store.slots.to_vec();
-        let result = merge_in_plan_order(slots, |a: &mut A, b: &A| a.merge(b))
+        let result = merge_in_plan_order(store.slots.to_vec(), |_, _, a, b| a.merge(b))
             .expect("plan has at least one chunk");
-        let merge_time = t.elapsed();
-
-        let after = self.pool.counters();
-        let stats = RuntimeStats {
-            workers: self.pool.workers(),
-            chunks: plan.num_chunks(),
-            tasks_executed: after.executed.saturating_sub(before.executed),
-            steals: after.stolen.saturating_sub(before.stolen),
-            merge_depth: plan.merge_depth(),
-            chunk_time: Duration::from_nanos(chunk_nanos.load(Ordering::Relaxed)),
-            merge_time,
-            total_time: t0.elapsed(),
-            retries,
-            heals: healed_chunks,
-            checkpoint_restores,
-        };
+        let mut stats = meter.stats(&self.pool, plan, t.elapsed());
+        stats.retries = retries;
+        stats.heals = heals;
+        stats.checkpoint_restores = checkpoint_restores;
         Ok((result, stats))
     }
 
@@ -737,27 +651,96 @@ impl Runtime {
         T: Send,
         F: Fn(usize, Range<usize>) -> T + Sync,
     {
+        let mut slots = plan_slots(plan);
+        self.scatter(plan, 0..plan.num_chunks(), f, |i, out| slots[i] = Some(out));
+        slots
+            .into_iter()
+            .map(|s| s.expect("every chunk task reports"))
+            .collect()
+    }
+
+    /// The engine's one scatter/gather: spawn one pool task per listed
+    /// chunk of `plan`, and hand each `(index, result)` to `gather` on the
+    /// calling thread in completion order — so a caller can merge results
+    /// as they arrive, or slot them by index for a plan-order merge.
+    fn scatter<T, W, G>(
+        &self,
+        plan: &ReductionPlan,
+        chunks: impl IntoIterator<Item = usize>,
+        task: W,
+        mut gather: G,
+    ) where
+        T: Send,
+        W: Fn(usize, Range<usize>) -> T + Sync,
+        G: FnMut(usize, T),
+    {
         self.pool.scope(|s| {
             let (tx, rx) = mpsc::channel::<(usize, T)>();
-            for (i, range) in plan.chunks().iter().enumerate() {
+            for i in chunks {
                 let tx = tx.clone();
-                let f = &f;
-                let range = range.clone();
+                let task = &task;
+                let range = plan.chunks()[i].clone();
                 s.spawn(move || {
-                    let out = f(i, range);
+                    let out = task(i, range);
+                    // The root hangs up early only if it panicked; ignore.
                     let _ = tx.send((i, out));
                 });
             }
             drop(tx);
-            let mut slots: Vec<Option<T>> = (0..plan.num_chunks()).map(|_| None).collect();
-            for (i, out) in rx.iter() {
-                slots[i] = Some(out);
+            for (i, out) in rx {
+                gather(i, out);
             }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chunk task reports"))
-                .collect()
-        })
+        });
+    }
+}
+
+/// One empty result slot per chunk of `plan`.
+fn plan_slots<T>(plan: &ReductionPlan) -> Vec<Option<T>> {
+    (0..plan.num_chunks()).map(|_| None).collect()
+}
+
+/// Wall clock and pool-counter baseline for one engine call;
+/// [`CallMeter::stats`] is where every call's [`RuntimeStats`] is built.
+struct CallMeter {
+    t0: Instant,
+    before: PoolCounters,
+    chunk_nanos: AtomicU64,
+}
+
+impl CallMeter {
+    fn start(pool: &ThreadPool) -> Self {
+        CallMeter {
+            t0: Instant::now(),
+            before: pool.counters(),
+            chunk_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Run one chunk kernel, adding its wall time to the call's `chunk_time`.
+    fn chunk<T>(&self, kernel: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = kernel();
+        self.chunk_nanos
+            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        out
+    }
+
+    /// The call's stats, with the recovery counters at zero.
+    fn stats(&self, pool: &ThreadPool, plan: &ReductionPlan, merge_time: Duration) -> RuntimeStats {
+        let after = pool.counters();
+        RuntimeStats {
+            workers: pool.workers(),
+            chunks: plan.num_chunks(),
+            tasks_executed: after.executed.saturating_sub(self.before.executed),
+            steals: after.stolen.saturating_sub(self.before.stolen),
+            merge_depth: plan.merge_depth(),
+            chunk_time: Duration::from_nanos(self.chunk_nanos.load(Ordering::Relaxed)),
+            merge_time,
+            total_time: self.t0.elapsed(),
+            retries: 0,
+            heals: 0,
+            checkpoint_restores: 0,
+        }
     }
 }
 
@@ -773,8 +756,7 @@ where
     if values.is_empty() {
         return make().finalize();
     }
-    let workers = workers.min(values.len());
-    let chunk = values.len().div_ceil(workers);
+    let chunk = chunk_len_for_count(values.len(), workers);
 
     let partials: Vec<(usize, A)> = std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<(usize, A)>();
@@ -899,6 +881,70 @@ mod tests {
         assert!(stats.tasks_executed >= stats.chunks as u64);
         assert_eq!(stats.merge_depth, 5); // 25 chunks -> depth 5
         assert!(stats.total_time.as_nanos() > 0);
+    }
+
+    #[test]
+    fn every_engine_path_reports_one_stats_shape() {
+        let rt = Runtime::new(4);
+        let values = data(20_000);
+        let plan = ReductionPlan::with_chunk_len(values.len(), 1024); // 20 chunks
+        let inject = |chunk: usize, attempt: u32| attempt == 0 && chunk % 4 == 0;
+        let mut warm = CheckpointStore::for_plan(&plan);
+        rt.accumulate_resumable(&values, &plan, StandardSum::new, &mut warm, None)
+            .unwrap();
+        warm.invalidate(3);
+        // (path, retries, heals, checkpoint_restores): `retried` loses
+        // chunks 0, 4, .., 16 on their first attempt; `restored` resumes
+        // the warm store, which is missing chunk 3 only.
+        let cases = [
+            ("reduce_stats", 0, 0, 0),
+            ("reduce_telemetry", 0, 0, 0),
+            ("resumable", 0, 0, 0),
+            ("retried", 5, 5, 0),
+            ("restored", 0, 0, 19),
+        ];
+        for (path, retries, heals, restores) in cases {
+            let mut fresh = CheckpointStore::for_plan(&plan);
+            let stats = match path {
+                "reduce_stats" => {
+                    let kernel = ChunkKernel::Scalar;
+                    rt.reduce_stats(&values, &plan, StandardSum::new, MergeOrder::Plan, kernel)
+                        .1
+                }
+                "reduce_telemetry" => {
+                    let trace = repro_obs::Trace::disabled();
+                    let mut scope = trace.scope("runtime");
+                    let cfg = repro_obs::TelemetryConfig::full();
+                    rt.reduce_telemetry(&values, &plan, StandardSum::new, &mut scope, cfg, None)
+                        .1
+                }
+                "resumable" => {
+                    rt.accumulate_resumable(&values, &plan, StandardSum::new, &mut fresh, None)
+                        .unwrap()
+                        .1
+                }
+                "retried" => {
+                    let inject = Some(&inject as ChunkFailureInjector<'_>);
+                    rt.accumulate_resumable(&values, &plan, StandardSum::new, &mut fresh, inject)
+                        .unwrap()
+                        .1
+                }
+                "restored" => {
+                    rt.accumulate_resumable(&values, &plan, StandardSum::new, &mut warm, None)
+                        .unwrap()
+                        .1
+                }
+                _ => unreachable!(),
+            };
+            assert_eq!(stats.workers, 4, "{path}");
+            assert_eq!(stats.chunks, 20, "{path}");
+            assert_eq!(stats.merge_depth, 5, "{path}");
+            assert_eq!(
+                (stats.retries, stats.heals, stats.checkpoint_restores),
+                (retries, heals, restores),
+                "{path}"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! 2. The multi-lane chunk kernels are bitwise identical to the scalar
 //!    `add_slice` loop for reproducible operators.
 //! 3. The lane kernel's decomposition and merge shape **are** the plan's:
-//!    `repro-sum` replicates `ReductionPlan::with_chunk_count` boundaries
-//!    and the `merge_in_plan_order` stride-doubling fold (it cannot depend
-//!    on this crate), and the tests here pin the two implementations
-//!    bit-for-bit with an order-*sensitive* operator, so any topology drift
-//!    between the crates fails loudly.
+//!    both are written once in `repro_sum::lanes` — `chunk_len_for_count`
+//!    cuts `ReductionPlan::with_chunk_count` and the lane chunks, and
+//!    `merge_in_plan_order` (re-exported here) is the one stride-doubling
+//!    fold. The tests below still check the shared shape end to end with an
+//!    order-*sensitive* operator, so a caller that stopped using it would
+//!    fail loudly.
 
 use proptest::prelude::*;
 use repro_runtime::{merge_in_plan_order, ChunkKernel, MergeOrder, ReductionPlan, Runtime};
@@ -112,7 +113,7 @@ proptest! {
                 Some(acc)
             })
             .collect();
-        let planned = merge_in_plan_order(parts, |a: &mut StandardSum, b| a.merge(b))
+        let planned = merge_in_plan_order(parts, |_, _, a: &mut StandardSum, b| a.merge(b))
             .expect("plan has at least one chunk")
             .finalize();
         prop_assert_eq!(laned.to_bits(), planned.to_bits(), "lanes = {}", lanes);

@@ -1,23 +1,25 @@
-//! Multi-lane slice kernels over contiguous plan chunks.
+//! Multi-lane slice kernels over contiguous plan chunks, and the fixed
+//! reduction-plan shape they share with the runtime.
 //!
 //! A scalar `add_slice` is one stream through the operator. Splitting the
 //! slice into `L` **contiguous** chunks gives the operator `L` independent
 //! accumulators whose inner loops each run the operator's batched
-//! `add_slice` kernel at full speed, then the lanes merge through the same
-//! fixed balanced binary tree the runtime's `ReductionPlan` uses — a purely
-//! data-dependent schedule, so the kernel is deterministic for every
-//! operator and bit-identical to the scalar kernel for reproducible
-//! operators ([`crate::BinnedSum`], [`crate::DistillSum`], the exact
-//! superaccumulator), whose results are schedule-invariant by construction.
+//! `add_slice` kernel at full speed, then the lanes merge through a fixed
+//! balanced binary tree — a purely data-dependent schedule, so the kernel
+//! is deterministic for every operator and bit-identical to the scalar
+//! kernel for reproducible operators ([`crate::BinnedSum`],
+//! [`crate::DistillSum`], the exact superaccumulator), whose results are
+//! schedule-invariant by construction.
 //!
-//! The decomposition and merge order are deliberately **identical** to the
-//! runtime engine's `ReductionPlan::with_chunk_count` boundaries and
-//! `merge_in_plan_order` stride-doubling fold (`repro-sum` sits below
-//! `repro-runtime` in the crate graph, so the shapes are replicated here and
-//! pinned bit-for-bit by cross-crate tests in `repro-runtime`). A lane
-//! result therefore equals the planned reduction a runtime with `L` workers
-//! would produce — lane count, worker count, and SIMD dispatch tier can all
-//! vary without moving a single bit of a reproducible operator's output.
+//! The plan shape is written once, here: [`chunk_len_for_count`] (the
+//! chunk-count → chunk-length rule) and [`merge_in_plan_order`] (the
+//! stride-doubling merge tree). `repro-sum` is the lowest crate that needs
+//! them, so the runtime's `ReductionPlan::with_chunk_count` and plan-order
+//! merge, and the aggregation engine's shard merge, call these same two
+//! functions. A lane result therefore equals the planned reduction a
+//! runtime with `L` workers would produce — lane count, worker count, and
+//! SIMD dispatch tier can all vary without moving a single bit of a
+//! reproducible operator's output.
 //!
 //! This replaces the round-robin element interleave the module used before:
 //! strided gathers forced either a per-element `add` (one long dependency
@@ -39,32 +41,44 @@ where
         acc.add_slice(values);
         return acc;
     }
-    let parts: Vec<A> = lane_chunks(values, lanes)
+    let parts: Vec<Option<A>> = lane_chunks(values, lanes)
         .map(|chunk| {
             let mut lane = make();
             lane.add_slice(chunk);
-            lane
+            Some(lane)
         })
         .collect();
-    merge_in_lane_order(parts).unwrap_or_else(make)
+    merge_in_plan_order(parts, |_, _, a, b| a.merge(b)).unwrap_or_else(make)
 }
 
 /// The contiguous per-lane chunks of `values` for a given lane count:
-/// `ceil(len / count)`-sized runs with the count clamped to the element
-/// count — boundary-for-boundary identical to the runtime's
-/// `ReductionPlan::with_chunk_count(len, lanes)`.
+/// [`chunk_len_for_count`]-sized runs, the last one short — the runtime's
+/// `ReductionPlan::with_chunk_count(len, lanes)` boundaries.
 pub fn lane_chunks(values: &[f64], lanes: usize) -> std::slice::Chunks<'_, f64> {
-    let count = lanes.max(1).min(values.len().max(1));
-    values.chunks(values.len().div_ceil(count).max(1))
+    values.chunks(chunk_len_for_count(values.len(), lanes))
 }
 
-/// Fold lane accumulators through the fixed stride-doubling balanced binary
-/// tree — merge-for-merge identical to the runtime's
-/// `merge_in_plan_order`: at stride `s`, lane `i + s` folds into lane `i`
-/// for `i = 0, 2s, 4s, ...`, then the stride doubles. Returns `None` for an
-/// empty lane set.
-pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
-    let mut parts: Vec<Option<A>> = parts.into_iter().map(Some).collect();
+/// The chunk length that splits `len` elements into `count` near-equal
+/// contiguous chunks: `ceil(len / count)` with `count` clamped to
+/// `1..=max(len, 1)`, never below 1.
+pub fn chunk_len_for_count(len: usize, count: usize) -> usize {
+    let count = count.max(1).min(len.max(1));
+    len.div_ceil(count).max(1)
+}
+
+/// Merge partials along the plan's fixed balanced binary tree:
+/// stride-doubling rounds over the slot indices (at stride `s`, slot
+/// `i + s` folds into slot `i` for `i = 0, 2s, 4s, ...`, then the stride
+/// doubles), so the topology depends only on the slot count.
+///
+/// `merge` receives `(i, stride, left, right)` for the node that folds the
+/// subtree rooted at slot `i + stride` into the one rooted at slot `i`;
+/// callers without per-node bookkeeping ignore the indices. Returns `None`
+/// for an empty slot vector.
+pub fn merge_in_plan_order<A, M>(mut parts: Vec<Option<A>>, mut merge: M) -> Option<A>
+where
+    M: FnMut(usize, usize, &mut A, &A),
+{
     let n = parts.len();
     if n == 0 {
         return None;
@@ -75,7 +89,7 @@ pub fn merge_in_lane_order<A: Accumulator>(parts: Vec<A>) -> Option<A> {
         while i + stride < n {
             let right = parts[i + stride].take().expect("merge tree slot filled");
             let left = parts[i].as_mut().expect("merge tree slot filled");
-            left.merge(&right);
+            merge(i, stride, left, &right);
             i += 2 * stride;
         }
         stride *= 2;
@@ -166,20 +180,67 @@ mod tests {
         // StandardSum is order-sensitive, so it distinguishes fold shapes:
         // for five lanes the tree must be ((0+1)+(2+3))+4, not a left fold.
         let parts = [1e16f64, 1.0, -1e16, 1.0, 1.0];
-        let lanes: Vec<StandardSum> = parts
+        let lanes: Vec<Option<StandardSum>> = parts
             .iter()
             .map(|&v| {
                 let mut a = StandardSum::new();
                 a.add(v);
-                a
+                Some(a)
             })
             .collect();
-        let merged = merge_in_lane_order(lanes).unwrap().finalize();
+        let merged = merge_in_plan_order(lanes, |_, _, a, b| a.merge(b))
+            .unwrap()
+            .finalize();
         let expect = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + parts[4];
         let left_fold = (((parts[0] + parts[1]) + parts[2]) + parts[3]) + parts[4];
         assert_eq!(merged.to_bits(), expect.to_bits());
         assert_ne!(expect.to_bits(), left_fold.to_bits(), "shapes must differ");
-        assert!(merge_in_lane_order(Vec::<StandardSum>::new()).is_none());
+    }
+
+    fn strings(n: usize) -> Vec<Option<String>> {
+        (0..n).map(|i| Some(i.to_string())).collect()
+    }
+
+    #[test]
+    fn plan_order_merge_is_a_fixed_tree() {
+        // Merging strings shows the topology: ((0 1) (2 3)) (4 ..).
+        let nest = |a: &mut String, b: &String| *a = format!("({a} {b})");
+        let out = merge_in_plan_order(strings(5), |_, _, a, b| nest(a, b)).unwrap();
+        assert_eq!(out, "(((0 1) (2 3)) 4)");
+        // Same count, same topology — always.
+        let again = merge_in_plan_order(strings(5), |_, _, a, b| nest(a, b)).unwrap();
+        assert_eq!(out, again);
+    }
+
+    #[test]
+    fn merge_nodes_are_reported_in_tree_order() {
+        let mut seen = Vec::new();
+        let out = merge_in_plan_order(strings(5), |i, stride, a, b| {
+            seen.push((i, stride));
+            *a = format!("({a} {b})");
+        })
+        .unwrap();
+        assert_eq!(out, "(((0 1) (2 3)) 4)");
+        // Stride-doubling rounds over 5 slots: (0,1) (2,1) then (0,2) then (0,4).
+        assert_eq!(seen, vec![(0, 1), (2, 1), (0, 2), (0, 4)]);
+    }
+
+    #[test]
+    fn empty_and_single_slot_merges() {
+        let mut calls = 0;
+        assert!(merge_in_plan_order(strings(0), |_, _, _, _| calls += 1).is_none());
+        let one = merge_in_plan_order(strings(1), |_, _, _, _| calls += 1);
+        assert_eq!(one.as_deref(), Some("0"));
+        assert_eq!(calls, 0, "no merge node below two slots");
+    }
+
+    #[test]
+    fn chunk_len_for_count_clamps_the_count() {
+        assert_eq!(chunk_len_for_count(10_000, 8), 1250);
+        assert_eq!(chunk_len_for_count(10, 4), 3);
+        assert_eq!(chunk_len_for_count(3, 8), 1); // count clamped to len
+        assert_eq!(chunk_len_for_count(0, 4), 1); // never zero
+        assert_eq!(chunk_len_for_count(7, 0), 7); // count clamped to 1
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! counterpart of [`crate::lanes::accumulate_lanes`]:
 //!
 //! * the slice splits into contiguous plan chunks
-//!   ([`crate::lanes::lane_chunks`] — the runtime's
-//!   `ReductionPlan::with_chunk_count` boundaries),
+//!   ([`crate::lanes::lane_chunks`], cut by the same
+//!   [`crate::lanes::chunk_len_for_count`] as the runtime's
+//!   `ReductionPlan::with_chunk_count`),
 //! * each lane runs the batched superaccumulator kernel with the lane count
 //!   as its accumulator-chain width
 //!   ([`Superaccumulator::add_slice_lanes`]), and
-//! * lanes merge through the fixed stride-doubling plan order
-//!   ([`crate::lanes::merge_in_lane_order`]).
+//! * lanes merge through the one stride-doubling plan-order fold
+//!   ([`crate::lanes::merge_in_plan_order`]) the runtime merges with.
 //!
 //! Because the superaccumulator is exact, every choice above — dispatch
 //! tier, lane count, chunk boundaries, merge shape — yields bit-identical
@@ -23,21 +24,21 @@
 
 pub use repro_fp::simd::{active_tier, dispatch_source, supported_tiers, tier_supported, SimdTier};
 
-use crate::lanes::{lane_chunks, merge_in_lane_order};
+use crate::lanes::{lane_chunks, merge_in_plan_order};
 use repro_fp::Superaccumulator;
 
 /// Exactly sum `values` with `lanes` contiguous plan-chunk lanes, each
 /// running the batched kernel at chain width `lanes`, merged in plan order.
 /// Bit-identical to [`repro_fp::exact_sum_acc`] for every lane count.
 pub fn accumulate_lanes_exact(values: &[f64], lanes: usize) -> Superaccumulator {
-    let parts: Vec<Superaccumulator> = lane_chunks(values, lanes)
+    let parts: Vec<Option<Superaccumulator>> = lane_chunks(values, lanes)
         .map(|chunk| {
             let mut lane = Superaccumulator::new();
             lane.add_slice_lanes(chunk, lanes);
-            lane
+            Some(lane)
         })
         .collect();
-    merge_in_lane_order(parts).unwrap_or_default()
+    merge_in_plan_order(parts, |_, _, a, b| a.merge(b)).unwrap_or_default()
 }
 
 /// [`accumulate_lanes_exact`] rounded once to `f64`.

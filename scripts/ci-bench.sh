@@ -3,8 +3,8 @@
 # scale, validate the BENCH JSON schema, and prove the harness itself is
 # deterministic — two same-seed runs must agree byte-for-byte once the
 # timing fields (the only nondeterministic outputs) are stripped. Then run
-# once at default scale and compare against the committed BENCH_09/BENCH_10
-# baselines: schema, op coverage, seed, and n must match, and the ns/elem
+# once at default scale and compare against the committed BENCH_10
+# baseline: schema, op coverage, seed, and n must match, and the ns/elem
 # deltas are rendered as a table (to $GITHUB_STEP_SUMMARY when set). No
 # wall-clock thresholds anywhere: CI runners share cores, so asserting on
 # absolute ns/elem would only manufacture flakes. Artifacts land in
@@ -106,16 +106,16 @@ done < <(ops_of "$BENCH_DIR/bench-default.json")
 # Delta table: informational only (shared CI cores), but it rides every run.
 table="$BENCH_DIR/baseline-delta.md"
 {
-  echo "### Bench vs committed baselines (ns/elem)"
+  echo "### Bench vs committed baseline (ns/elem)"
   echo ""
-  echo "| op | BENCH_09 | BENCH_10 | this run | Δ vs 10 |"
-  echo "|---|---|---|---|---|"
+  echo "| op | BENCH_10 | this run | Δ vs 10 |"
+  echo "|---|---|---|---|"
   while read -r op; do
-    b9=$(ns_of BENCH_09.json "$op"); b10=$(ns_of "$baseline" "$op")
+    b10=$(ns_of "$baseline" "$op")
     now=$(ns_of "$BENCH_DIR/bench-default.json" "$op")
     delta=$(awk -v a="$b10" -v b="$now" \
       'BEGIN { if (a == "" || b == "") print "n/a"; else printf "%+.1f%%", (b - a) / a * 100 }')
-    echo "| $op | ${b9:-–} | ${b10:-–} | ${now:-–} | $delta |"
+    echo "| $op | ${b10:-–} | ${now:-–} | $delta |"
   done < <(ops_of "$baseline")
 } > "$table"
 cat "$table"

@@ -45,11 +45,16 @@ for tier in scalar sse2 avx2; do
   echo "== tier $tier: fixed-seed numeric digest (CLI sums + exact error) =="
   # The sum command's exact-error line runs the dispatched superaccumulator
   # hot path over the full input, so these outputs carry real kernel bits.
+  # Its `# manifest:` trailer names the tier by design (`simd_tier`, and
+  # `REPRO_SIMD` under `env`), so the digest keeps every other line plus
+  # the manifest's `result_bits` — a missing field fails the grep.
   REPRO_SIMD="$tier" run gen --n 50000 --dr 28 --seed 2015 > "$SIMD_DIR/values.txt"
   : > "$SIMD_DIR/numeric-$tier.txt"
   for alg in ST PR DS; do
     REPRO_SIMD="$tier" run sum --alg "$alg" --hex --file "$SIMD_DIR/values.txt" \
-      >> "$SIMD_DIR/numeric-$tier.txt"
+      > "$SIMD_DIR/sum.txt"
+    grep -v '^# manifest:' "$SIMD_DIR/sum.txt" >> "$SIMD_DIR/numeric-$tier.txt"
+    grep -o '"result_bits":"[0-9a-f]*"' "$SIMD_DIR/sum.txt" >> "$SIMD_DIR/numeric-$tier.txt"
   done
 
   ran+=("$tier")

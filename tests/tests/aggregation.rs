@@ -10,8 +10,9 @@
 //!    changes nothing about the finalized bits.
 
 use proptest::prelude::*;
-use repro_core::agg::{merge_tree, AggConfig, AggEngine, OperatorKind, ShardState};
+use repro_core::agg::{AggConfig, AggEngine, OperatorKind, ShardState};
 use repro_core::fp::rng::DetRng;
+use repro_core::sum::lanes::merge_in_plan_order;
 use repro_core::sum::Accumulator;
 
 /// The edge of the f64 lattice: signed zeros, subnormals (including the
@@ -99,15 +100,18 @@ proptest! {
                 sharded, serial,
                 "op={} shards={} seed={}", op.label(), shards, seed
             );
-            // The engine's own stride-doubling tree agrees too.
-            let mut states: Vec<ShardState> = Vec::new();
+            // The shared stride-doubling plan-order tree agrees too.
+            let mut states: Vec<Option<ShardState>> = Vec::new();
             for chunk in values.chunks(values.len().div_ceil(shards)) {
                 let mut s = op.new_state();
                 s.add_slice(chunk);
-                states.push(s);
+                states.push(Some(s));
             }
-            let tree = merge_tree(states).unwrap().finalize().to_bits();
-            prop_assert_eq!(tree, serial, "merge_tree op={}", op.label());
+            let tree = merge_in_plan_order(states, |_, _, a, b| a.merge(b))
+                .unwrap()
+                .finalize()
+                .to_bits();
+            prop_assert_eq!(tree, serial, "merge_in_plan_order op={}", op.label());
         }
     }
 
