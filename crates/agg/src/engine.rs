@@ -27,7 +27,7 @@
 //! the last merge.
 
 use crate::state::{self, valid_name, AggStateError, OperatorKind, ParsedAggregate, ShardState};
-use repro_select::{DecisionCache, Fingerprint, HeuristicSelector, Selector, Tolerance};
+use repro_select::{CostModel, DecisionCache, Fingerprint, HeuristicSelector, Selector, Tolerance};
 use repro_sum::lanes::merge_in_plan_order;
 use repro_sum::{Accumulator, Algorithm};
 use std::collections::BTreeMap;
@@ -44,7 +44,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct AggConfig {
     /// Shards per newly declared aggregate (≥ 1).
     pub shards: usize,
-    /// PR fold (1..=4) used when the selector lands on the binned operator.
+    /// PR fold (1..=4) used when a non-reproducible choice maps onto a PR
+    /// reproducible rung.
     pub fold: usize,
     /// Accuracy budget each aggregate's operator must meet.
     pub budget: Tolerance,
@@ -66,21 +67,27 @@ impl Default for AggConfig {
 /// bitwise-invariantly, so the engine clamps the selector's ladder to the
 /// two that qualify:
 ///
-/// * PR (`binned`) stays PR — compact state, cheap snapshots.
+/// * PR (`binned`) stays PR at its own fold.
+/// * DS becomes the superaccumulator ([`OperatorKind::Exact`]) — the
+///   fastest *batched* ingest path in the workspace (~0.6 ns/elem on
+///   narrow data vs ~14 for PR), at 0.64 kB of checkpoint per shard
+///   against ~0.1 kB for PR at fold 3.
 /// * A **non-reproducible** choice (ST/K/CP/…) means the budget is loose
-///   enough that even the cheapest rung met it; PR's run-to-run spread is
-///   zero, so substituting PR keeps the budget trivially while restoring
-///   mergeability.
-/// * Anything stronger (exact/distillation) becomes the superaccumulator —
-///   which is also the fastest *batched* ingest path in the workspace
-///   (the PR 6 SIMD kernel: ~0.7 ns/elem vs ~15 for PR).
-pub fn operator_for(algorithm: Algorithm, fold: usize) -> OperatorKind {
+///   enough that even the cheapest rung met it; any reproducible
+///   operator's run-to-run spread is zero, so the model's reproducible
+///   rung ([`CostModel::reproducible_rung`]) keeps the budget trivially
+///   while restoring mergeability — `Exact` when DS is the rung, PR at
+///   `fold` when PR is.
+pub fn operator_for(algorithm: Algorithm, fold: usize, costs: &CostModel) -> OperatorKind {
     match algorithm {
         Algorithm::Binned { fold } => OperatorKind::Binned {
             fold: fold as usize,
         },
         a if a.is_reproducible() => OperatorKind::Exact,
-        _ => OperatorKind::Binned { fold },
+        _ => match costs.reproducible_rung() {
+            Algorithm::Binned { .. } => OperatorKind::Binned { fold },
+            _ => OperatorKind::Exact,
+        },
     }
 }
 
@@ -286,7 +293,7 @@ impl AggEngine {
             self.cache.insert(fingerprint, chosen);
             chosen
         });
-        let op = operator_for(algorithm, self.config.fold);
+        let op = operator_for(algorithm, self.config.fold, &self.selector.costs);
         let mut map = self.write();
         let entry = map.entry(name.to_string()).or_insert_with(|| {
             repro_obs::flight::record_with("agg", "declare", || {
@@ -408,15 +415,92 @@ mod tests {
 
     #[test]
     fn operator_mapping_clamps_to_shard_safe_operators() {
+        let costs = CostModel::default();
         assert_eq!(
-            operator_for(Algorithm::PR, 3),
+            operator_for(Algorithm::PR, 3, &costs),
             OperatorKind::Binned { fold: 3 }
         );
         assert_eq!(
-            operator_for(Algorithm::Standard, 2),
+            operator_for(Algorithm::Binned { fold: 2 }, 3, &costs),
             OperatorKind::Binned { fold: 2 }
         );
-        assert_eq!(operator_for(Algorithm::Distill, 3), OperatorKind::Exact);
+        assert_eq!(
+            operator_for(Algorithm::Distill, 3, &costs),
+            OperatorKind::Exact
+        );
+        // Non-reproducible choices map to the model's reproducible rung:
+        // DS on the committed baseline, PR at the configured fold where
+        // PR is the cheaper reproducible operator.
+        assert_eq!(costs.reproducible_rung(), Algorithm::Distill);
+        assert_eq!(
+            operator_for(Algorithm::Standard, 2, &costs),
+            OperatorKind::Exact
+        );
+        // A machine whose exact path is dearer than PR.
+        let entries: Vec<String> = [
+            ("sum/ST", 1.0),
+            ("sum/PW", 3.0),
+            ("sum/K", 3.0),
+            ("sum/N", 2.0),
+            ("sum/CP", 2.0),
+            ("sum/DD", 5.0),
+            ("sum/PR", 14.0),
+            ("simd/scalar", 20.0),
+        ]
+        .iter()
+        .map(|(op, ns)| format!("{{\"op\": \"{op}\", \"ns_per_elem\": {ns}}}"))
+        .collect();
+        let doc = format!(
+            "{{\"schema\": \"repro-bench-throughput-v1\", \"entries\": [{}]}}",
+            entries.join(",")
+        );
+        let slow_exact =
+            CostModel::from_baseline_json(&doc, "x", repro_fp::simd::SimdTier::Scalar).unwrap();
+        assert_eq!(slow_exact.reproducible_rung(), Algorithm::PR);
+        assert_eq!(
+            operator_for(Algorithm::Standard, 2, &slow_exact),
+            OperatorKind::Binned { fold: 2 }
+        );
+        assert_eq!(
+            operator_for(Algorithm::Distill, 2, &slow_exact),
+            OperatorKind::Exact
+        );
+    }
+
+    /// A snapshot rendered before the default Bitwise rung moved from PR to
+    /// DS: two `binned:3` aggregates, two shards each.
+    const PR_ERA_SNAPSHOT: &str = "\
+repro-agg-snapshot-v1 aggregates=2
+repro-agg-state-v1 name=latency op=binned:3 shards=2 updates=64 batches=4
+shard=0;3;24;43d8000000000000,4158000141eb851f,3ed7ffb851fb8000,3c58000000000000;0,0,0,0;0000
+shard=1;3;24;43d8000000000000,41580001e7ae147b,3ed7ffe147b58000,3c58000000000000;0,0,0,0;0000
+end
+repro-agg-state-v1 name=volume op=binned:3 shards=2 updates=64 batches=4
+shard=0;3;24;43d8000000000000,41580001a1eb851f,3ed7ffb851fa0000,3c58000000000000;0,0,0,0;0000
+shard=1;3;24;43d8000000000000,4158000185c28f5c,3ed80028f5cd0000,3c58000000000000;0,0,0,0;0000
+end
+";
+
+    #[test]
+    fn pr_era_snapshots_restore_under_the_exact_default() {
+        let engine = AggEngine::restore(PR_ERA_SNAPSHOT, AggConfig::default()).expect("restores");
+        // The operator comes from the wire, not from the selector.
+        for (name, bits) in [
+            ("latency", 0x40294cccccccccce_u64),
+            ("volume", 0x40293d70a3d70a3e),
+        ] {
+            let agg = engine.declare(name, &hostile(1, 64));
+            assert_eq!(agg.op(), OperatorKind::Binned { fold: 3 }, "{name}");
+            assert_eq!(agg.finalize_bits(), bits, "{name}");
+            assert_eq!(agg.updates(), 64);
+        }
+        assert_eq!(engine.digest_bits(), 0x4039451eb851eb86);
+        assert_eq!(engine.serialize().trim_end(), PR_ERA_SNAPSHOT.trim_end());
+        // Aggregates declared after the restore get today's rung.
+        assert_eq!(
+            engine.declare("fresh", &hostile(1, 64)).op(),
+            OperatorKind::Exact
+        );
     }
 
     #[test]

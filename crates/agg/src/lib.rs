@@ -41,6 +41,9 @@
 //! * [`AggEngine`] — the named-aggregate registry, with per-aggregate
 //!   operators chosen by the `repro-select` selector under the engine's
 //!   accuracy budget and cached in a [`repro_select::DecisionCache`].
+//!   Under the default `Bitwise` budget that is the selector's
+//!   reproducible rung, DS, run as the exact superaccumulator
+//!   ([`operator_for`]).
 //! * `repro-agg-state-v1` — the versioned wire format: serialize an
 //!   engine (or one aggregate), ship it, [`AggEngine::merge_serialized`]
 //!   it into a peer — and the strict parser that rejects anything

@@ -57,7 +57,8 @@ pub enum OperatorKind {
     },
     /// An exact Kulisch superaccumulator: a true integer sum of the
     /// deposited values. Strongest guarantee, and — counterintuitively —
-    /// the fastest batched ingest path (the PR 6 SIMD kernel).
+    /// the fastest batched ingest path (the PR 6 SIMD kernel); the default
+    /// under a `Bitwise` budget, where the selector picks DS.
     Exact,
 }
 

@@ -545,7 +545,7 @@ mod tests {
             "-1.59e-8",
         ])
         .unwrap();
-        assert!(out.contains("PR(fold=3)"), "{out}");
+        assert!(out.contains("# selected: DS"), "{out}");
     }
 
     #[test]

@@ -37,10 +37,12 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 ///
 /// The magnitude precondition is checked with a `debug_assert!`; release
 /// builds trust the caller. Prefer [`two_sum`] when the ordering is unknown.
+/// Non-finite operands are exempt: there is no error term to recover, and
+/// `s` carries the IEEE infinity or NaN onward.
 #[inline(always)]
 pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
     debug_assert!(
-        b == 0.0 || a.abs() >= b.abs() || a.abs() == 0.0,
+        b == 0.0 || a.abs() >= b.abs() || a.abs() == 0.0 || !(a.is_finite() && b.is_finite()),
         "fast_two_sum precondition |a| >= |b| violated: a={a:e}, b={b:e}"
     );
     let s = a + b;

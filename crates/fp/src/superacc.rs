@@ -567,40 +567,52 @@ impl Superaccumulator {
     /// the digits normalized first (each in `[0, 2³²)`) and three `0`/`1`
     /// flag characters for nan / +inf / −inf.
     pub fn checkpoint(&self) -> String {
+        use std::fmt::Write;
+        // "sa1;-1;" + DIGITS × (8 hex + separator) + 3 flags.
+        const MAX_LEN: usize = 7 + DIGITS * 9 + 3;
         let mut work = self.clone();
         work.normalize();
-        let digits: Vec<String> = work.digits.iter().map(|d| format!("{d:08x}")).collect();
-        format!(
-            "sa1;{};{};{}{}{}",
-            work.sign_ext,
-            digits.join(","),
+        let mut out = String::with_capacity(MAX_LEN);
+        // Writing into a String cannot fail.
+        let _ = write!(out, "sa1;{};", work.sign_ext);
+        for (i, d) in work.digits.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{d:08x}");
+        }
+        let _ = write!(
+            out,
+            ";{}{}{}",
             u8::from(work.nan),
             u8::from(work.pos_inf),
-            u8::from(work.neg_inf),
-        )
+            u8::from(work.neg_inf)
+        );
+        out
     }
 
     /// Restore an accumulator from [`Superaccumulator::checkpoint`] output.
-    /// Returns `None` on malformed input: wrong tag, wrong digit count, a
-    /// digit outside `[0, 2³²)`, a sign extension other than `0`/`-1`, or
-    /// malformed flags — restore is strict so a corrupt checkpoint can
-    /// never silently decode into a different value.
+    /// Returns `None` on malformed input: wrong tag, a sign extension other
+    /// than `0`/`-1`, a digit count other than [`DIGITS`], a digit that is
+    /// not eight lowercase hex characters, or malformed flags — restore is
+    /// strict so a corrupt checkpoint can never silently decode into a
+    /// different value, and an accepted one re-checkpoints byte-identically.
     pub fn restore(text: &str) -> Option<Self> {
         let mut parts = text.trim().split(';');
         if parts.next()? != "sa1" {
             return None;
         }
-        let sign_ext: i64 = parts.next()?.parse().ok()?;
-        if sign_ext != 0 && sign_ext != -1 {
-            return None;
-        }
+        let sign_ext = match parts.next()? {
+            "0" => 0,
+            "-1" => -1,
+            _ => return None,
+        };
         let mut acc = Self::new();
-        let mut count = 0usize;
-        for (slot, tok) in acc.digits.iter_mut().zip(parts.next()?.split(',')) {
-            *slot = i64::from(u32::from_str_radix(tok, 16).ok()?);
-            count += 1;
+        let mut tokens = parts.next()?.split(',');
+        for slot in acc.digits.iter_mut() {
+            *slot = parse_digit(tokens.next()?)?;
         }
-        if count != DIGITS {
+        if tokens.next().is_some() {
             return None;
         }
         let flags = parts.next()?.as_bytes();
@@ -662,6 +674,23 @@ impl Superaccumulator {
             (self.digits[d] & ((1i64 << r) - 1)) != 0
         }
     }
+}
+
+/// One checkpoint digit: exactly eight lowercase hex characters, as
+/// [`Superaccumulator::checkpoint`] writes them (so every accepted
+/// checkpoint re-serializes byte-identically).
+fn parse_digit(tok: &str) -> Option<i64> {
+    if tok.len() != 8 {
+        return None;
+    }
+    tok.bytes().try_fold(0i64, |acc, b| {
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | i64::from(nibble))
+    })
 }
 
 impl Extend<f64> for Superaccumulator {
@@ -1106,6 +1135,41 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let zeros = |k: usize| "00000000,".repeat(k);
+        let ones = |k: usize| ",ffffffff".repeat(k);
+        // 1.0 sits at bit 1074 of the register: digit 33, bit 18.
+        let one = Superaccumulator::from_values([1.0]);
+        assert_eq!(
+            one.checkpoint(),
+            format!("sa1;0;{}00040000{};000", zeros(33), ",00000000".repeat(36))
+        );
+        let minus_one = Superaccumulator::from_values([-1.0]);
+        assert_eq!(
+            minus_one.checkpoint(),
+            format!("sa1;-1;{}fffc0000{};000", zeros(33), ones(36))
+        );
+        let specials = Superaccumulator::from_values([f64::NAN, f64::INFINITY]);
+        assert_eq!(
+            specials.checkpoint(),
+            format!("sa1;0;{}00000000;110", zeros(69))
+        );
+        // Dense states: the same bytes as formatting each normalized digit
+        // separately and joining them (the format's definition).
+        for seed in 0..4u64 {
+            let acc = Superaccumulator::from_values(hostile_values(seed, 200));
+            let mut work = acc.clone();
+            work.normalize();
+            let digits: Vec<String> = work.digits.iter().map(|d| format!("{d:08x}")).collect();
+            let reference = format!("sa1;{};{};000", work.sign_ext, digits.join(","));
+            let text = acc.checkpoint();
+            assert_eq!(text, reference, "{seed}");
+            let restored = Superaccumulator::restore(&text).unwrap();
+            assert_eq!(restored.checkpoint(), text, "{seed}");
+        }
+    }
+
+    #[test]
     fn restore_rejects_garbage() {
         let good = Superaccumulator::from_values([1.0, -2.5e-300]).checkpoint();
         assert!(Superaccumulator::restore(&good).is_some());
@@ -1118,7 +1182,12 @@ mod tests {
             good.replacen("sa1;0;", "sa1;1;", 1),         // sign_ext not in {0,-1}
             good.replacen(';', ";;", 1),                  // structure
             good.rsplit_once(',').unwrap().0.to_string(), // digit dropped
-            format!("{good},00000000"),                   // extra digit
+            format!("{good},00000000"),                   // trailing digit
+            good.replacen(",00000000,", ",00000000,00000000,", 1), // 71 digits
+            good.replacen(",00000000,", ",+0000000,", 1), // signed digit
+            good.replacen(",00000000,", ",0,", 1),        // short digit
+            good.replacen(",ffffffff,", ",FFFFFFFF,", 1), // uppercase digit
+            good.replacen("sa1;0;", "sa1;-0;", 1),        // non-canonical sign
             good.replace("00000000", "100000000"),        // digit ≥ 2^32
             good.replace("00000000", "0000000g"),         // non-hex digit
             good[..good.len() - 1].to_string(),           // truncated flags
@@ -1126,6 +1195,7 @@ mod tests {
             format!("{good};"),                           // trailing field
         ];
         for case in cases {
+            assert_ne!(case, good, "case must corrupt the checkpoint");
             assert!(
                 Superaccumulator::restore(&case).is_none(),
                 "accepted {case:?}"

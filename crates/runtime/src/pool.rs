@@ -107,7 +107,6 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     loop {
         if let Some(task) = shared.find_task(index) {
             task();
-            shared.executed.fetch_add(1, Ordering::Relaxed);
             continue;
         }
         let mut idle = shared.idle.lock().expect("pool idle lock poisoned");
@@ -190,10 +189,14 @@ impl<'scope> Scope<'scope> {
     {
         self.latch.increment();
         let latch = Arc::clone(&self.latch);
+        let shared = Arc::clone(&self.shared);
         let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
                 latch.record_panic(payload);
             }
+            // Count before releasing the latch: once it reaches zero,
+            // `scope` returns and callers read the counters.
+            shared.executed.fetch_add(1, Ordering::Relaxed);
             latch.decrement();
         });
         // SAFETY: `scope` blocks until the latch reaches zero, i.e. until
@@ -326,6 +329,21 @@ mod tests {
             assert_eq!(hits.load(Ordering::Relaxed), 8, "round {round}");
         }
         assert!(pool.counters().executed >= 400);
+    }
+
+    #[test]
+    fn executed_count_lands_before_scope_returns() {
+        // A private pool runs only these tasks, so the lifetime count is
+        // exact the moment `scope` returns, under any worker interleaving.
+        let pool = ThreadPool::new(4);
+        for round in 1..=200u64 {
+            pool.scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {});
+                }
+            });
+            assert_eq!(pool.counters().executed, 8 * round, "round {round}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The selector needs to know the *price* side of the tradeoff — and that
 //! price must track the machine, not a constant. The default model is
 //! **calibrated**: per-operator ns/element from the committed
-//! `BENCH_06.json` throughput baseline (the tracked harness behind
+//! `BENCH_10.json` throughput baseline (the tracked harness behind
 //! `repro-reduce bench`), normalized so recursive summation costs 1.0. The
 //! old flop-count ratios survive only as the no-baseline fallback
 //! ([`CostModel::static_flops`]), and [`CostModel::measure`] re-measures on
@@ -16,6 +16,20 @@
 //! Kahan's measured ~3.9×, guessed 4×), so the static table ranked CP after
 //! K and the selector systematically over-paid for mid-tolerance workloads
 //! after the PR 5/6 hot-path work.
+//!
+//! ## The reproducible rung
+//!
+//! Two operators are bitwise reproducible: PR (prerounded) and DS (exact,
+//! on the batched superaccumulator). [`CostModel::reproducible_rung`] is
+//! the one place that picks between them — the cheaper by this model —
+//! and [`CostModel::ladder`] is the escalation order every selector walks:
+//! the paper's non-reproducible operators cheapest first, then the rung.
+//! DS is priced by the tier-matched exact path (`simd/<tier>`), measured on
+//! narrow data. Its cost grows with dynamic range (about 13 ns/elem on
+//! ±30-binade data), and the model has no dynamic-range axis, so the rung
+//! closes the ladder whatever its price: it is what the selector pays when
+//! no cheaper operator meets the budget, never a reason to skip one that
+//! does.
 
 use repro_fp::simd::{self, SimdTier};
 use repro_sum::{Accumulator, Algorithm};
@@ -23,11 +37,11 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The committed baseline the default model is seeded from (repo root).
-pub const BASELINE_FILE: &str = "BENCH_06.json";
+pub const BASELINE_FILE: &str = "BENCH_10.json";
 
 /// The baseline document itself, embedded at compile time so the default
 /// model needs no filesystem access (and cannot drift from the commit).
-const BASELINE_JSON: &str = include_str!("../../../BENCH_06.json");
+const BASELINE_JSON: &str = include_str!("../../../BENCH_10.json");
 
 /// Where a [`CostModel`]'s numbers came from — logged with every decision
 /// record so rankings are auditable.
@@ -35,10 +49,9 @@ const BASELINE_JSON: &str = include_str!("../../../BENCH_06.json");
 pub enum CostSource {
     /// ns/element from a committed `BENCH_*.json` baseline, normalized to
     /// ST. `tier` is the SIMD dispatch tier active when the model was
-    /// built: the eight operator kernels themselves are tier-independent
-    /// (none routes through the dispatched superaccumulator hot path), but
-    /// the tier selects which `simd/<tier>` baseline entry prices the
-    /// exact-summation machinery ([`CostModel::exact_path_ns`]).
+    /// built: it selects which `simd/<tier>` baseline entry prices the
+    /// exact superaccumulator path ([`CostModel::exact_path_ns`]), and
+    /// with it DS. The other seven operator kernels are tier-independent.
     Baseline {
         /// Which committed baseline file.
         file: &'static str,
@@ -53,7 +66,7 @@ pub enum CostSource {
 }
 
 impl CostSource {
-    /// Compact label for decision records (`BENCH_06.json@avx2`,
+    /// Compact label for decision records (`BENCH_10.json@avx2`,
     /// `static-flops`, `measured`).
     pub fn label(&self) -> String {
         match self {
@@ -95,7 +108,9 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Flop-count based relative costs (ST = 1): K adds 4 flops per
-    /// element, CP 6, PR ~4 per live bin plus renormalization traffic.
+    /// element, CP 6, PR ~4 per live bin plus renormalization traffic, DS
+    /// the superaccumulator's six add/subs per element of error-free
+    /// extraction.
     /// Kept only as the no-baseline fallback — measured reality disagrees
     /// (see [`CostModel::baseline`]).
     pub fn static_flops() -> Self {
@@ -108,7 +123,7 @@ impl CostModel {
                 (Algorithm::Composite, 6.0),
                 (Algorithm::DoubleDouble, 8.0),
                 (Algorithm::PR, 14.0),
-                (Algorithm::Distill, 25.0),
+                (Algorithm::Distill, 6.0),
             ],
             source: CostSource::StaticFlops,
             st_ns: None,
@@ -126,9 +141,12 @@ impl CostModel {
     /// Parse a `repro-bench-throughput-v1` document into a cost model:
     /// every `sum/<op>` entry becomes a relative cost (normalized to
     /// `sum/ST`), `simd/<tier>` and `select/profile` ride along as the
-    /// exact-path and profiling price tags. Returns `None` unless all
-    /// eight operators are present with positive finite timings —
-    /// a half-parsed baseline must not silently rank candidates.
+    /// exact-path and profiling price tags. DS is priced by the exact path
+    /// — `simd/<tier>`, or `simd/scalar` (the slowest tier) when the
+    /// baseline machine lacked this tier — not by its `sum/DS` row, which
+    /// older baselines measured on the expansion-backed kernel. Returns
+    /// `None` unless all eight operators are priced with positive finite
+    /// timings — a half-parsed baseline must not silently rank candidates.
     pub fn from_baseline_json(json: &str, file: &'static str, tier: SimdTier) -> Option<Self> {
         let doc = repro_obs::Json::parse(json.trim()).ok()?;
         if doc.get("schema")?.as_str()? != "repro-bench-throughput-v1" {
@@ -146,15 +164,20 @@ impl CostModel {
                 .filter(|ns| ns.is_finite() && *ns > 0.0)
         };
         let st = ns_of("sum/ST")?;
+        let exact_ns = ns_of(&format!("simd/{}", tier.label()));
         let mut rel = Vec::with_capacity(Algorithm::ALL.len());
         for alg in Algorithm::ALL {
-            rel.push((alg, ns_of(&format!("sum/{}", alg.abbrev()))? / st));
+            let ns = match alg {
+                Algorithm::Distill => exact_ns.or_else(|| ns_of("simd/scalar"))?,
+                _ => ns_of(&format!("sum/{}", alg.abbrev()))?,
+            };
+            rel.push((alg, ns / st));
         }
         Some(Self {
             entries: rel,
             source: CostSource::Baseline { file, tier },
             st_ns: Some(st),
-            exact_ns: ns_of(&format!("simd/{}", tier.label())),
+            exact_ns,
             profile_ns: ns_of("select/profile"),
         })
     }
@@ -197,6 +220,28 @@ impl CostModel {
         let mut v = algorithms.to_vec();
         v.sort_by(|a, b| self.cost(*a).total_cmp(&self.cost(*b)));
         v
+    }
+
+    /// The cheapest bitwise-reproducible operator: DS or PR, whichever
+    /// this model prices lower (DS on a tie — it is also exact). Every
+    /// selector answers [`crate::Tolerance::Bitwise`] with it.
+    pub fn reproducible_rung(&self) -> Algorithm {
+        self.by_cost(&[Algorithm::Distill, Algorithm::PR])[0]
+    }
+
+    /// The escalation ladder every selector walks: the paper's
+    /// non-reproducible operators (ST, K, CP) cheapest first, then
+    /// [`CostModel::reproducible_rung`], which fits every budget and so
+    /// closes the ladder (see the module docs for why it comes last
+    /// whatever its price).
+    pub fn ladder(&self) -> Vec<Algorithm> {
+        let free: Vec<Algorithm> = Algorithm::PAPER_SET
+            .into_iter()
+            .filter(|a| !a.is_reproducible())
+            .collect();
+        let mut ladder = self.by_cost(&free);
+        ladder.push(self.reproducible_rung());
+        ladder
     }
 
     /// Measure actual ns/element on this machine over a `sample_len`
@@ -291,13 +336,58 @@ mod tests {
             assert!(exact > 0.0);
             assert!(m.profile_pass_ns().unwrap() > exact);
         }
-        // Relative rankings don't move with the tier: operator kernels are
-        // tier-independent (none routes through the dispatched hot path).
+        // Only DS moves with the tier: it runs the dispatched exact path and
+        // is priced by that tier's column. The other kernels are
+        // tier-independent.
         let a = CostModel::baseline(SimdTier::Scalar).unwrap();
         let b = CostModel::baseline(SimdTier::Avx2).unwrap();
         for alg in Algorithm::ALL {
+            if alg == Algorithm::Distill {
+                continue;
+            }
             assert_eq!(a.cost(alg).to_bits(), b.cost(alg).to_bits());
         }
+        for m in [&a, &b] {
+            let ds = m.absolute_ns(Algorithm::Distill).unwrap();
+            assert!((ds - m.exact_path_ns().unwrap()).abs() < 1e-12, "{ds}");
+        }
+        assert!(a.cost(Algorithm::Distill) > b.cost(Algorithm::Distill));
+    }
+
+    #[test]
+    fn the_reproducible_rung_is_the_cheaper_of_ds_and_pr() {
+        // On the committed baseline the exact path undercuts PR on every
+        // tier, so DS is the rung and closes every ladder.
+        for &tier in &[SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+            let m = CostModel::baseline(tier).unwrap();
+            assert_eq!(m.reproducible_rung(), Algorithm::Distill, "{tier}");
+            let labels: Vec<&str> = m.ladder().iter().map(|a| a.abbrev()).collect();
+            assert_eq!(labels, ["ST", "CP", "K", "DS"], "{tier}");
+        }
+        assert_eq!(
+            CostModel::static_flops().reproducible_rung(),
+            Algorithm::Distill
+        );
+        // A machine where the exact path is dearer than PR keeps PR.
+        let slow_exact = BASELINE_JSON
+            .replace("\"ns_per_elem\": 1.1762", "\"ns_per_elem\": 99.0")
+            .replace("\"ns_per_elem\": 0.8745", "\"ns_per_elem\": 99.0")
+            .replace("\"ns_per_elem\": 0.5999", "\"ns_per_elem\": 99.0");
+        let m = CostModel::from_baseline_json(&slow_exact, "x", SimdTier::Avx2).unwrap();
+        assert_eq!(m.reproducible_rung(), Algorithm::PR);
+        assert_eq!(*m.ladder().last().unwrap(), Algorithm::PR);
+    }
+
+    #[test]
+    fn a_baseline_without_the_tier_prices_ds_at_the_scalar_path() {
+        let no_avx2 = BASELINE_JSON.replace("\"op\": \"simd/avx2\"", "\"op\": \"simd/other\"");
+        let m = CostModel::from_baseline_json(&no_avx2, "x", SimdTier::Avx2).unwrap();
+        assert_eq!(m.exact_path_ns(), None);
+        let scalar = CostModel::baseline(SimdTier::Scalar).unwrap();
+        assert_eq!(
+            m.cost(Algorithm::Distill).to_bits(),
+            scalar.cost(Algorithm::Distill).to_bits()
+        );
     }
 
     #[test]
@@ -312,7 +402,7 @@ mod tests {
         }"#;
         assert!(CostModel::from_baseline_json(partial, "x", tier).is_none());
         // Non-positive timing: refused.
-        let zeroed = BASELINE_JSON.replace("\"ns_per_elem\": 0.7496", "\"ns_per_elem\": 0.0");
+        let zeroed = BASELINE_JSON.replace("\"ns_per_elem\": 0.7418", "\"ns_per_elem\": 0.0");
         assert!(CostModel::from_baseline_json(&zeroed, "x", tier).is_none());
     }
 

@@ -10,7 +10,7 @@
 
 use crate::cost::CostModel;
 use crate::profile::DataProfile;
-use crate::selector::{predicted_spread, Tolerance};
+use crate::selector::{absolute_budget, predicted_spread, Tolerance};
 use repro_sum::Algorithm;
 
 /// One candidate's audit row.
@@ -34,8 +34,10 @@ pub struct Explanation {
     /// The absolute budget the tolerance resolved to (`None` for bitwise,
     /// which short-circuits candidate comparison).
     pub budget: Option<f64>,
-    /// Candidates in the order the selector considered them (cheapest
-    /// first); the chosen one is the first with `fits == true`.
+    /// Candidates in the order the selector considered them
+    /// ([`CostModel::ladder`]: the non-reproducible operators cheapest
+    /// first, then the reproducible rung); the chosen one is the first
+    /// with `fits == true`.
     pub candidates: Vec<CandidateVerdict>,
     /// The decision.
     pub chosen: Algorithm,
@@ -62,6 +64,8 @@ impl Explanation {
                 c.predicted_spread,
                 if c.algorithm == self.chosen {
                     "<- CHOSEN (cheapest that fits)"
+                } else if c.fits && c.algorithm.is_reproducible() {
+                    "fits (reproducible rung, tried last)"
                 } else if c.fits {
                     "fits (but costlier)"
                 } else {
@@ -80,21 +84,10 @@ impl Explanation {
 /// recorded.
 pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
     let costs = CostModel::default();
-    let budget = match tolerance {
-        Tolerance::Bitwise => None,
-        Tolerance::AbsoluteSpread(t) => Some(t),
-        Tolerance::RelativeSpread(r) => {
-            let scale = profile.sum_estimate.abs();
-            if scale == 0.0 {
-                None
-            } else {
-                Some(r * scale)
-            }
-        }
-    };
+    let budget = absolute_budget(profile, tolerance);
     let mut candidates = Vec::new();
     let mut chosen = None;
-    for alg in costs.by_cost(&Algorithm::PAPER_SET) {
+    for alg in costs.ladder() {
         let spread = predicted_spread(alg, profile);
         let fits = match budget {
             Some(b) => spread <= b,
@@ -114,7 +107,7 @@ pub fn explain(profile: &DataProfile, tolerance: Tolerance) -> Explanation {
         tolerance,
         budget,
         candidates,
-        chosen: chosen.unwrap_or(Algorithm::PR),
+        chosen: chosen.unwrap_or_else(|| costs.reproducible_rung()),
         cost_source: costs.source().label(),
     }
 }
@@ -217,9 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_explains_escalation_to_pr() {
+    fn zero_budget_explains_escalation_to_the_rung() {
         let e = check_faithful(&[1.0, 1e16, -1e16], Tolerance::AbsoluteSpread(0.0));
-        assert_eq!(e.chosen, Algorithm::PR);
+        assert_eq!(e.chosen, Algorithm::Distill);
         // Every non-reproducible candidate is marked as exceeding budget.
         for c in &e.candidates {
             assert_eq!(c.fits, c.predicted_spread == 0.0, "{:?}", c.algorithm);
@@ -230,7 +223,8 @@ mod tests {
     fn bitwise_explanation_has_no_budget() {
         let e = check_faithful(&[2.0, 4.0], Tolerance::Bitwise);
         assert_eq!(e.budget, None);
-        assert!(e.chosen.is_reproducible());
+        assert_eq!(e.chosen, Algorithm::Distill);
+        assert!(e.render().contains("DS "), "{}", e.render());
     }
 
     #[test]
@@ -281,8 +275,13 @@ mod tests {
 
     #[test]
     fn candidates_are_ordered_by_cost() {
+        // The non-reproducible candidates come cheapest first; the
+        // reproducible rung closes the ladder whatever its price.
         let e = check_faithful(&[1.0; 64], Tolerance::AbsoluteSpread(1e-9));
-        let costs: Vec<f64> = e.candidates.iter().map(|c| c.relative_cost).collect();
+        let (rung, free) = e.candidates.split_last().unwrap();
+        assert!(rung.algorithm.is_reproducible());
+        assert!(free.iter().all(|c| !c.algorithm.is_reproducible()));
+        let costs: Vec<f64> = free.iter().map(|c| c.relative_cost).collect();
         assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
     }
 }

@@ -20,6 +20,11 @@
 //!      `(k, dr) → variability` table built by [`calibrate::calibrate`],
 //!      which replays the paper's grid methodology (Figure 8) at
 //!      calibration time.
+//!
+//!    Both walk [`CostModel::ladder`]: ST, CP and K cheapest first, then
+//!    the reproducible rung ([`CostModel::reproducible_rung`] — DS, the
+//!    exact superaccumulator sum, on the committed baseline), which is
+//!    also every selector's answer to [`Tolerance::Bitwise`].
 //! 3. [`AdaptiveReducer`] packages the whole thing: profile, choose,
 //!    reduce, report.
 //! 4. [`verified::VerifiedReducer`] trusts measurements over models: reduce
@@ -370,7 +375,7 @@ mod tests {
         let report = recommendations(&benign);
         assert_eq!(report.len(), 5);
         assert_eq!(report[0].algorithm, Algorithm::Standard);
-        assert_eq!(report.last().unwrap().algorithm, Algorithm::PR);
+        assert_eq!(report.last().unwrap().algorithm, Algorithm::Distill);
     }
 
     #[test]

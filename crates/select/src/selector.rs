@@ -20,6 +20,21 @@ pub enum Tolerance {
     Bitwise,
 }
 
+/// The absolute spread budget `tolerance` resolves to on `profile`, or
+/// `None` when only a reproducible operator qualifies: a bitwise request,
+/// or a relative one on a zero (or fully cancelled) sum, which has no
+/// magnitude to be relative to.
+pub(crate) fn absolute_budget(profile: &DataProfile, tolerance: Tolerance) -> Option<f64> {
+    match tolerance {
+        Tolerance::Bitwise => None,
+        Tolerance::AbsoluteSpread(t) => Some(t),
+        Tolerance::RelativeSpread(r) => {
+            let scale = profile.sum_estimate.abs();
+            (scale != 0.0).then_some(r * scale)
+        }
+    }
+}
+
 /// A selection policy.
 pub trait Selector {
     /// The cheapest algorithm expected to meet `tolerance` on data shaped
@@ -36,13 +51,17 @@ pub trait Selector {
 /// | ST | `√n · u · Σ\|x\|` | random-walk roundoff accumulation |
 /// | K / Neumaier | `2u · Σ\|x\|` | compensated bound, n-independent |
 /// | CP | `n · u² · Σ\|x\|` | second-order residual only |
-/// | PR | `0` | bitwise reproducible |
+/// | PR / DS | `0` | bitwise reproducible |
 ///
 /// These are the statistical counterparts of the bounds in `repro-fp`; the
-/// calibrated selector replaces them with measurements.
+/// calibrated selector replaces them with measurements. Candidates come
+/// from [`CostModel::ladder`]: ST, K and CP cheapest first, then the
+/// reproducible rung ([`CostModel::reproducible_rung`], DS on the
+/// committed baseline), which is also the answer to a bitwise request.
 #[derive(Clone, Debug, Default)]
 pub struct HeuristicSelector {
-    /// Cost model used to order candidates (defaults to flop ratios).
+    /// Cost model used to order candidates and pick the reproducible rung
+    /// (defaults to the calibrated baseline).
     pub costs: CostModel,
 }
 
@@ -61,33 +80,23 @@ pub fn predicted_spread(alg: Algorithm, p: &DataProfile) -> f64 {
 
 impl Selector for HeuristicSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        let budget = match tolerance {
-            Tolerance::Bitwise => {
-                return Algorithm::PR;
-            }
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    // A zero (or fully cancelled) sum has no magnitude to be
-                    // relative to: only bitwise reproducibility qualifies.
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
+        let rung = self.costs.reproducible_rung();
+        let Some(budget) = absolute_budget(profile, tolerance) else {
+            return rung;
         };
-        for alg in self.costs.by_cost(&Algorithm::PAPER_SET) {
-            if predicted_spread(alg, profile) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
+        self.costs
+            .ladder()
+            .into_iter()
+            .find(|&alg| predicted_spread(alg, profile) <= budget)
+            .unwrap_or(rung)
     }
 }
 
 /// Empirical selector: nearest calibrated `(k, dr)` cell, cheapest
-/// algorithm whose **measured** spread fits the budget (scaled by `n`
-/// relative to the calibration size for the n-sensitive algorithms).
+/// non-reproducible algorithm whose **measured** spread fits the budget
+/// (scaled by `n` relative to the calibration size for the n-sensitive
+/// algorithms), else the cost model's reproducible rung. Reproducible
+/// columns of the table (PR's measured zero) stand in for the rung.
 #[derive(Clone, Debug)]
 pub struct CalibratedSelector {
     table: CalibrationTable,
@@ -113,26 +122,22 @@ impl CalibratedSelector {
 
 impl Selector for CalibratedSelector {
     fn choose(&self, profile: &DataProfile, tolerance: Tolerance) -> Algorithm {
-        let budget = match tolerance {
-            Tolerance::Bitwise => return Algorithm::PR,
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
+        let rung = self.costs.reproducible_rung();
+        let Some(budget) = absolute_budget(profile, tolerance) else {
+            return rung;
         };
         let cell = self.table.nearest(profile.k, profile.dr_decades());
-        let mut candidates: Vec<(Algorithm, f64)> = cell.spread.clone();
+        let mut candidates: Vec<(Algorithm, f64)> = cell
+            .spread
+            .iter()
+            .copied()
+            .filter(|(alg, _)| !alg.is_reproducible())
+            .collect();
         candidates.sort_by(|a, b| self.costs.cost(a.0).total_cmp(&self.costs.cost(b.0)));
-        for (alg, measured) in candidates {
-            if self.rescale(measured, profile.n) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
+        candidates
+            .into_iter()
+            .find(|&(_, measured)| self.rescale(measured, profile.n) <= budget)
+            .map_or(rung, |(alg, _)| alg)
     }
 }
 
@@ -192,16 +197,9 @@ impl Selector for SampledSelector {
         // derived quantities only, so the sampled probe reconstructs a
         // surrogate workload with the profile's (n, k, dr) via the
         // generator — measuring on data *shaped like* the input.
-        let budget = match tolerance {
-            Tolerance::Bitwise => return Algorithm::PR,
-            Tolerance::AbsoluteSpread(t) => t,
-            Tolerance::RelativeSpread(r) => {
-                let scale = profile.sum_estimate.abs();
-                if scale == 0.0 {
-                    return Algorithm::PR;
-                }
-                r * scale
-            }
+        let rung = self.costs.reproducible_rung();
+        let Some(budget) = absolute_budget(profile, tolerance) else {
+            return rung;
         };
         let n = profile.n.max(2);
         let m = self.subsample.min(n).max(2);
@@ -225,12 +223,11 @@ impl Selector for SampledSelector {
             1.0
         };
         let scaled: Vec<f64> = surrogate.iter().map(|v| v * factor).collect();
-        for alg in self.costs.by_cost(&Algorithm::PAPER_SET) {
-            if alg.is_reproducible() || self.probe(alg, &scaled, n) <= budget {
-                return alg;
-            }
-        }
-        Algorithm::PR
+        self.costs
+            .ladder()
+            .into_iter()
+            .find(|&alg| alg.is_reproducible() || self.probe(alg, &scaled, n) <= budget)
+            .unwrap_or(rung)
     }
 }
 
@@ -241,11 +238,13 @@ mod tests {
     use crate::profile::profile;
 
     #[test]
-    fn bitwise_always_selects_pr() {
+    fn bitwise_always_selects_the_reproducible_rung() {
         let p = profile(&[1.0, 2.0]);
+        let sel = HeuristicSelector::default();
+        assert_eq!(sel.choose(&p, Tolerance::Bitwise), Algorithm::Distill);
         assert_eq!(
-            HeuristicSelector::default().choose(&p, Tolerance::Bitwise),
-            Algorithm::PR
+            sel.choose(&p, Tolerance::Bitwise),
+            sel.costs.reproducible_rung()
         );
     }
 
@@ -271,19 +270,19 @@ mod tests {
             );
             last_rank = alg.cost_rank();
         }
-        // The zero-tolerance end must be PR.
+        // The zero-tolerance end must be the reproducible rung.
         assert_eq!(
             sel.choose(&p, Tolerance::AbsoluteSpread(0.0)),
-            Algorithm::PR
+            Algorithm::Distill
         );
     }
 
     #[test]
-    fn relative_tolerance_on_zero_sum_forces_pr() {
+    fn relative_tolerance_on_zero_sum_forces_the_rung() {
         let values = repro_gen::zero_sum_with_range(100, 8, 9);
         let p = profile(&values);
         let alg = HeuristicSelector::default().choose(&p, Tolerance::RelativeSpread(1e-6));
-        assert_eq!(alg, Algorithm::PR);
+        assert_eq!(alg, Algorithm::Distill);
     }
 
     #[test]
@@ -303,11 +302,16 @@ mod tests {
             sel.choose(&profile(&benign), Tolerance::AbsoluteSpread(1.0)),
             Algorithm::Standard
         );
-        // Hostile cell, zero budget: PR.
+        // Hostile cell, zero budget: the reproducible rung, also when the
+        // table's own PR column measured a zero spread.
         let hostile = repro_gen::zero_sum_with_range(256, 16, 1);
         assert_eq!(
             sel.choose(&profile(&hostile), Tolerance::AbsoluteSpread(0.0)),
-            Algorithm::PR
+            Algorithm::Distill
+        );
+        assert_eq!(
+            sel.choose(&profile(&hostile), Tolerance::Bitwise),
+            Algorithm::Distill
         );
     }
 
@@ -327,10 +331,10 @@ mod tests {
             choice.cost_rank() > Algorithm::Standard.cost_rank(),
             "chose {choice}"
         );
-        // Bitwise -> PR.
+        // Bitwise -> the reproducible rung.
         assert_eq!(
             sel.choose(&profile(&hostile), Tolerance::Bitwise),
-            Algorithm::PR
+            Algorithm::Distill
         );
     }
 

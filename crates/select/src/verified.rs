@@ -7,13 +7,15 @@
 //! tolerance, escalates to the next costlier operator and tries again —
 //! a runtime embodiment of the paper's reproducibility definition
 //! ("closeness of agreement among repeated simulation results under the
-//! same initial conditions"). PR terminates the ladder: its two runs agree
+//! same initial conditions"). The cost model's reproducible rung (DS on the
+//! committed baseline, else PR) terminates the ladder: its two runs agree
 //! bitwise by construction.
 //!
 //! The price is honest too: every verification pass costs a second
 //! reduction, so this mode suits validation runs and selector calibration
 //! more than hot loops (the ablation benches quantify the overhead).
 
+use crate::cost::CostModel;
 use crate::selector::Tolerance;
 use repro_fp::rng::DetRng;
 use repro_sum::{Accumulator, Algorithm};
@@ -52,11 +54,15 @@ pub struct VerifiedReducer {
 }
 
 impl VerifiedReducer {
-    /// New verified reducer over the paper's algorithm ladder.
+    /// New verified reducer over the paper's algorithm ladder (ST, K,
+    /// CP), closed by [`CostModel::reproducible_rung`] in PR's slot.
     pub fn new(tolerance: Tolerance, seed: u64) -> Self {
+        let rung = CostModel::default().reproducible_rung();
         Self {
             tolerance,
-            ladder: Algorithm::PAPER_SET.to_vec(),
+            ladder: Algorithm::PAPER_SET
+                .map(|alg| if alg.is_reproducible() { rung } else { alg })
+                .to_vec(),
             seed,
         }
     }
@@ -144,9 +150,10 @@ mod tests {
     fn bitwise_tolerance_reaches_pr() {
         let values = repro_gen::zero_sum_with_range(5_000, 32, 7);
         let r = VerifiedReducer::new(Tolerance::Bitwise, 9);
+        assert_eq!(*r.ladder.last().unwrap(), Algorithm::Distill);
         let out = r.reduce(&values).unwrap();
         assert!(out.algorithm.is_reproducible() || out.disagreements.last().unwrap().1 == 0.0);
-        // PR's self-disagreement is exactly zero.
+        // The reproducible rung's self-disagreement is exactly zero.
         let (last_alg, last_d) = *out.disagreements.last().unwrap();
         assert_eq!(last_alg, out.algorithm);
         assert_eq!(last_d, 0.0);

@@ -3,9 +3,10 @@
 //! an [`Algorithm`] tag into a live accumulator.
 
 use crate::{
-    Accumulator, BinnedSum, CompositeSum, DistillSum, DoubleDoubleSum, KahanSum, NeumaierSum,
-    PairwiseSum, StandardSum,
+    Accumulator, BinnedSum, CompositeSum, DoubleDoubleSum, KahanSum, NeumaierSum, PairwiseSum,
+    StandardSum,
 };
+use repro_fp::Superaccumulator;
 use std::fmt;
 
 /// A summation algorithm, identified at runtime.
@@ -34,8 +35,10 @@ pub enum Algorithm {
         /// Number of live 40-bit bins (1..=4); 3 is the ReproBLAS default.
         fold: u8,
     },
-    /// Exact expansion-backed distillation (bitwise reproducible because
-    /// exact; extension).
+    /// DS — exact summation on the batched Kulisch superaccumulator
+    /// (bitwise reproducible because exact; correctly rounded, IEEE
+    /// semantics for non-finite input). The selector's reproducible rung
+    /// whenever it undercuts PR.
     Distill,
 }
 
@@ -88,7 +91,7 @@ impl Algorithm {
             Algorithm::Composite => "composite precision summation",
             Algorithm::DoubleDouble => "double-double summation",
             Algorithm::Binned { .. } => "prerounded (binned) summation",
-            Algorithm::Distill => "exact distillation (expansion) summation",
+            Algorithm::Distill => "exact (superaccumulator) summation",
         }
     }
 
@@ -109,8 +112,8 @@ impl Algorithm {
     }
 
     /// `true` if the operator guarantees bitwise-identical results under any
-    /// reduction order and merge topology (PR by prerounding; distillation
-    /// by outright exactness).
+    /// reduction order and merge topology (PR by prerounding; DS by
+    /// outright exactness).
     pub fn is_reproducible(&self) -> bool {
         matches!(self, Algorithm::Binned { .. } | Algorithm::Distill)
     }
@@ -125,7 +128,7 @@ impl Algorithm {
             Algorithm::Composite => AlgoAccumulator::Composite(CompositeSum::new()),
             Algorithm::DoubleDouble => AlgoAccumulator::DoubleDouble(DoubleDoubleSum::new()),
             Algorithm::Binned { fold } => AlgoAccumulator::Binned(BinnedSum::new(*fold as usize)),
-            Algorithm::Distill => AlgoAccumulator::Distill(DistillSum::new()),
+            Algorithm::Distill => AlgoAccumulator::Distill(Superaccumulator::new()),
         }
     }
 
@@ -164,8 +167,8 @@ pub enum AlgoAccumulator {
     DoubleDouble(DoubleDoubleSum),
     /// PR state.
     Binned(BinnedSum),
-    /// Distillation state.
-    Distill(DistillSum),
+    /// DS state: the exact register.
+    Distill(Superaccumulator),
 }
 
 impl AlgoAccumulator {
@@ -287,6 +290,47 @@ mod tests {
                 matches!(alg, Algorithm::Binned { .. } | Algorithm::Distill)
             );
         }
+    }
+
+    #[test]
+    fn distill_is_the_superaccumulator_on_edge_inputs() {
+        let tiny = f64::from_bits(1); // smallest subnormal
+        let cases: [(&str, &[f64]); 11] = [
+            ("empty", &[]),
+            ("+inf", &[1.0, f64::INFINITY]),
+            ("-inf", &[f64::NEG_INFINITY, 1.0]),
+            ("inf-inf", &[f64::INFINITY, 1.0, f64::NEG_INFINITY]),
+            ("nan", &[1.0, f64::NAN, 2.0]),
+            ("overflow", &[1e308, 1e308]),
+            ("overflow-cancelled", &[f64::MAX, f64::MAX, -f64::MAX]),
+            ("near-max", &[f64::MAX, -1e292, 1e292]),
+            ("subnormals", &[tiny, tiny, -tiny * 3.0, f64::MIN_POSITIVE]),
+            ("-0.0", &[-0.0]),
+            ("-0.0 pair", &[-0.0, -0.0]),
+        ];
+        for (name, values) in cases {
+            let reference = Superaccumulator::from_values(values.iter().copied()).to_f64();
+            let ds = Algorithm::Distill.sum(values);
+            assert_eq!(
+                ds.to_bits(),
+                reference.to_bits(),
+                "{name}: {ds} vs {reference}"
+            );
+            // Per-element adds and merged halves agree with the batched path.
+            let (a, b) = values.split_at(values.len() / 2);
+            let mut left = Algorithm::Distill.new_accumulator();
+            a.iter().for_each(|&x| left.add(x));
+            let mut right = Algorithm::Distill.new_accumulator();
+            right.add_slice(b);
+            left.merge(&right);
+            assert_eq!(left.finalize().to_bits(), reference.to_bits(), "{name}");
+        }
+        // The IEEE answers, not just agreement with the register.
+        assert_eq!(Algorithm::Distill.sum(&[1e308, 1e308]), f64::INFINITY);
+        assert_eq!(Algorithm::Distill.sum(&[1.0, f64::INFINITY]), f64::INFINITY);
+        assert!(Algorithm::Distill
+            .sum(&[f64::INFINITY, f64::NEG_INFINITY])
+            .is_nan());
     }
 
     #[test]

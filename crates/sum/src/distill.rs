@@ -9,9 +9,12 @@
 //! it behaves like a 2–3 term compensated sum; on adversarial wide-range
 //! data it can grow toward ~40 components.
 //!
-//! Included as the upper end of the accuracy ladder the selector can reach
-//! for — and as the honest comparison point for PR: *exact* reproducibility
-//! is available, PR is simply cheaper.
+//! Not on the serving path: [`crate::Algorithm::Distill`] (DS) runs the
+//! batched superaccumulator, which is exact too and an order of magnitude
+//! cheaper. This type stays as an exact oracle built on different
+//! arithmetic (error-free transforms, not fixed-point digits), so tests can
+//! check the superaccumulator against something that does not share its
+//! code. It holds finite values only.
 
 use crate::Accumulator;
 use repro_fp::Expansion;

@@ -38,7 +38,9 @@ fn main() {
         ]);
         for (name, values) in &workloads {
             let reducer = VerifiedReducer::new(tolerance, 2015);
-            let outcome = reducer.reduce(values).expect("PR terminates the ladder");
+            let outcome = reducer
+                .reduce(values)
+                .expect("the reproducible rung terminates the ladder");
             let climbed = outcome
                 .disagreements
                 .iter()

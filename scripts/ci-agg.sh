@@ -30,6 +30,11 @@ run agg loadgen "${SPEC[@]}" --shuffle 1 > "$AGG_DIR/shuffle-1.txt"
 run agg loadgen "${SPEC[@]}" --shuffle 99 --workers 8 > "$AGG_DIR/shuffle-99.txt"
 diff <(lines "$AGG_DIR/shuffle-1.txt") <(lines "$AGG_DIR/shuffle-99.txt") \
   || { echo "arrival order changed a finalized sum" >&2; exit 1; }
+# Under the default Bitwise budget the selector's reproducible rung is DS,
+# which the engine runs as the exact superaccumulator.
+awk '/^agg / { n++; if ($0 !~ / op=exact /) bad++ } END { exit !(n > 0 && bad == 0) }' \
+  "$AGG_DIR/shuffle-1.txt" \
+  || { echo "default loadgen declared a non-exact aggregate" >&2; exit 1; }
 
 echo "== loadgen: shard counts 1 and 16 agree with the default 4 =="
 run agg loadgen "${SPEC[@]}" --shards 1 > "$AGG_DIR/shards-1.txt"

@@ -29,4 +29,10 @@ echo "$chaos_out" | grep -Eq "report: completed=[0-9]+ failed=[0-9]+ retries=[0-
 echo "$chaos_out" | grep -Eq "checkpoint demo: retries=1 heals=1 checkpoint_restores=[0-9]+" \
   || { echo "chaos run did not surface RuntimeStats recovery counters" >&2; exit 1; }
 
+echo "== select --bitwise picks the reproducible rung (DS) =="
+select_out=$(cargo run --release -p repro-cli --bin repro-reduce -- select --bitwise 1 2 3)
+echo "$select_out"
+echo "$select_out" | grep -q "^# selected: DS " \
+  || { echo "select --bitwise did not report DS" >&2; exit 1; }
+
 echo "== smoke OK =="

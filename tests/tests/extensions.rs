@@ -162,7 +162,7 @@ fn cli_calibration_round_trips_into_a_selector() {
         &repro_core::select::profile(&hostile),
         Tolerance::AbsoluteSpread(0.0),
     );
-    assert_eq!(choice, Algorithm::PR);
+    assert_eq!(choice, Algorithm::Distill);
 }
 
 /// Analytic series with closed-form limits: the reduction operators are

@@ -186,7 +186,9 @@ fn section_5d_selection_escalates() {
         let (b, _) = reducer(t).choose(&benign);
         assert!(b.cost_rank() <= alg.cost_rank());
     }
-    assert_eq!(reducer(0.0).choose(&hostile).0, Algorithm::PR);
+    // The zero-budget end is the reproducible rung (DS: the exact path
+    // undercuts PR on the committed baseline).
+    assert_eq!(reducer(0.0).choose(&hostile).0, Algorithm::Distill);
 }
 
 /// §VI (conclusion): the three headline observations, in one test — shape
