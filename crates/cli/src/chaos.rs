@@ -145,7 +145,11 @@ fn survivor_check(values: &[f64], ranks: usize, survivors: &[usize], sum: f64) -
 /// order, dropping a rank wholesale on its first timeout. All fault draws
 /// come from per-rank seeded streams, so two runs with the same seed yield
 /// byte-identical JSONL (and PR merging keeps the healed sum bitwise equal
-/// to a sequential reference over the survivor set).
+/// to a sequential reference over the survivor set). With `--telemetry`,
+/// every segment (`leaf.r{rank}.s{seg}`), the root's own chunk (`leaf.r0`)
+/// and the gathered result (`root`) emit a `node` event; the ids derive
+/// from the fixed script, never from timing, so `trace diff` aligns runs
+/// with different fault draws.
 pub fn trace_chaos(o: &Opts, _: &ReadFile) -> Result<String, CliError> {
     let (out, manifest) = trace_chaos_with_manifest(o)?;
     finish_with_manifest(out, &manifest, o.manifest.as_deref())
@@ -158,7 +162,7 @@ const SEGMENTS: usize = 4;
 /// re-runs this and compares manifests instead of scraping output text.
 pub fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliError> {
     use repro_core::mpisim::{FaultError, World};
-    use repro_core::obs::{f, render_jsonl, Trace};
+    use repro_core::obs::{f, node_fields, render_jsonl, ExactShadow, Trace};
 
     let ranks = o.ranks.unwrap_or(6);
     let n = o.n.unwrap_or(2048);
@@ -191,7 +195,10 @@ pub fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliE
             merged.add_slice(mine);
             if telemetry.enabled() {
                 // The root's own chunk is its leaf in the gather tree.
-                chaos_node_event(comm, telemetry, 1, "leaf.r0", 0, merged.finalize(), &[mine]);
+                let shadow = ExactShadow::over(mine);
+                let (fields, _) =
+                    node_fields(&telemetry, 1, "leaf.r0", 0, merged.finalize(), &shadow);
+                comm.trace_event("node", fields);
             }
             let mut survivors = vec![0usize];
             for src in 1..comm.size() {
@@ -226,11 +233,12 @@ pub fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliE
             if telemetry.enabled() {
                 // The merged gather result over the survivor set — ordinal 0
                 // so the root is always exact-sampled when sampling is on.
-                let parts: Vec<&[f64]> = survivors
-                    .iter()
-                    .map(|&r| share(&values, ranks, r).1)
-                    .collect();
-                chaos_node_event(comm, telemetry, 0, "root", 0, sum, &parts);
+                let mut shadow = ExactShadow::default();
+                for &r in &survivors {
+                    shadow.absorb(&ExactShadow::over(share(&values, ranks, r).1));
+                }
+                let (fields, _) = node_fields(&telemetry, 0, "root", 0, sum, &shadow);
+                comm.trace_event("node", fields);
             }
             comm.trace_event(
                 "gather_done",
@@ -248,15 +256,15 @@ pub fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliE
                 let mut part = BinnedSum::new(3);
                 part.add_slice(&mine[lo..hi]);
                 if telemetry.enabled() {
-                    chaos_node_event(
-                        comm,
-                        telemetry,
+                    let (fields, _) = node_fields(
+                        &telemetry,
                         (rank * SEGMENTS + seg) as u64 + 1,
                         &format!("leaf.r{rank}.s{seg}"),
                         start + lo,
                         part.finalize(),
-                        &[&mine[lo..hi]],
+                        &ExactShadow::over(&mine[lo..hi]),
                     );
+                    comm.trace_event("node", fields);
                 }
                 comm.try_send(0, tag(rank, seg), part.checkpoint())?;
             }
@@ -307,43 +315,4 @@ pub fn trace_chaos_with_manifest(o: &Opts) -> Result<(String, RunManifest), CliE
     manifest.cost_source = explanation.cost_source.clone();
     manifest.result_bits = Some(sum.to_bits());
     Ok((out, manifest))
-}
-
-/// Emit one numerical-telemetry `node` event from the chaos gather script:
-/// partial-sum bits, Higham bound over the node's elements, and — when the
-/// node's ordinal is exact-sampled — the ulp deviation against a
-/// superaccumulator shadow. Node ids (`leaf.r{rank}.s{seg}`, `leaf.r0`,
-/// `root`) derive from the fixed gather plan, never from timing, so
-/// `trace diff` can align them across runs with different fault draws.
-fn chaos_node_event(
-    comm: &mut repro_core::mpisim::Comm,
-    telemetry: repro_core::obs::TelemetryConfig,
-    ordinal: u64,
-    node: &str,
-    start: usize,
-    partial: f64,
-    parts: &[&[f64]],
-) {
-    use repro_core::obs::f;
-    let mut exact = Superaccumulator::new();
-    let mut abs = Superaccumulator::new();
-    let mut n = 0usize;
-    for part in parts {
-        exact.add_slice(part);
-        abs.add_slice_abs(part);
-        n += part.len();
-    }
-    let mut fields = vec![
-        f("node", node.to_string()),
-        f("start", start as u64),
-        f("len", n as u64),
-        f("sum_bits", format!("{:016x}", partial.to_bits())),
-        f("bound", repro_core::fp::higham_bound(n, abs.to_f64())),
-    ];
-    if telemetry.sample_exact(ordinal) {
-        let shadow = exact.to_f64();
-        fields.push(f("ulps", repro_core::fp::ulp_distance(partial, shadow)));
-        fields.push(f("exact_bits", format!("{:016x}", shadow.to_bits())));
-    }
-    comm.trace_event("node", fields);
 }

@@ -1244,8 +1244,9 @@ mod tests {
                     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
                     opts::parse(command, &args).is_ok()
                 };
+                // `--n` needs at least 2, so "1" alone is not a probe.
                 assert!(
-                    parses(&[flag]) || parses(&[flag, "1"]),
+                    parses(&[flag]) || parses(&[flag, "1"]) || parses(&[flag, "2"]),
                     "{name} rejects its documented {flag}"
                 );
             }

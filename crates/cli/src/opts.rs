@@ -139,7 +139,14 @@ pub fn parse(cmd: &Command, args: &[String]) -> Result<Option<Opts>, CliError> {
             "--explain" => o.explain = true,
             "--wall" => o.wall = true,
             "--telemetry" => o.telemetry = true,
-            "--n" => o.n = Some(num(flag, val()?)?),
+            "--n" => {
+                // Every generator and workload behind --n needs two values.
+                let n: usize = num(flag, val()?)?;
+                if n < 2 {
+                    return Err(err(format!("bad {flag}: {n} (need at least 2)")));
+                }
+                o.n = Some(n);
+            }
             "--k" => o.k = Some(num(flag, val()?)?),
             "--dr" => o.dr = num(flag, val()?)?,
             "--perms" => o.perms = num(flag, val()?)?,

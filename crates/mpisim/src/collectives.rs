@@ -769,61 +769,39 @@ pub fn reduce_sum(
     reduce_accumulator(comm, acc, root, cfg).map(|a| a.finalize())
 }
 
-/// An accumulator that carries an exact shadow next to the real operator:
-/// the correctly-rounded sum (for exact ulp deviations) and the exact
-/// absolute-value sum plus element count (for the Higham bound
-/// `n·u·Σ|xᵢ|`). The shadow travels **inside** the collective's payload,
+/// An accumulator that carries a [`repro_obs::ExactShadow`] next to the
+/// real operator. The shadow travels **inside** the collective's payload,
 /// so distributed telemetry needs no second communication round — and
-/// because [`repro_fp::Superaccumulator`] merges exactly, the shadow is
-/// topology- and arrival-order-invariant even when the inner operator is
-/// not.
+/// because the shadow merges exactly, it is topology- and
+/// arrival-order-invariant even when the inner operator is not.
 #[derive(Clone)]
 pub struct ShadowedAcc<A> {
     /// The real operator under observation.
     pub inner: A,
-    /// Correctly rounded exact sum of everything absorbed.
-    pub exact: repro_fp::Superaccumulator,
-    /// Exact sum of absolute values.
-    pub abs: repro_fp::Superaccumulator,
-    /// Elements absorbed.
-    pub n: usize,
+    /// Exact shadow of everything absorbed.
+    pub shadow: repro_obs::ExactShadow,
 }
 
 impl<A: Accumulator> ShadowedAcc<A> {
     /// Wrap `inner` (already holding `values`' reduction) with the exact
     /// shadow of the same `values`.
     pub fn over(inner: A, values: &[f64]) -> Self {
-        let mut exact = repro_fp::Superaccumulator::new();
-        let mut abs = repro_fp::Superaccumulator::new();
-        exact.add_slice(values);
-        abs.add_slice_abs(values);
         ShadowedAcc {
             inner,
-            exact,
-            abs,
-            n: values.len(),
+            shadow: repro_obs::ExactShadow::over(values),
         }
-    }
-
-    /// The Higham bound `n·u·Σ|xᵢ|` over everything absorbed so far.
-    pub fn bound(&self) -> f64 {
-        repro_fp::higham_bound(self.n, self.abs.to_f64())
     }
 }
 
 impl<A: Accumulator> Accumulator for ShadowedAcc<A> {
     fn add(&mut self, x: f64) {
         self.inner.add(x);
-        self.exact.add(x);
-        self.abs.add(x.abs());
-        self.n += 1;
+        self.shadow.add(x);
     }
 
     fn merge(&mut self, other: &Self) {
         self.inner.merge(&other.inner);
-        self.exact.merge(&other.exact);
-        self.abs.merge(&other.abs);
-        self.n += other.n;
+        self.shadow.absorb(&other.shadow);
     }
 
     fn finalize(&self) -> f64 {
@@ -831,52 +809,23 @@ impl<A: Accumulator> Accumulator for ShadowedAcc<A> {
     }
 }
 
-/// Emit one `node` telemetry event into this rank's trace scope: the
-/// distributed counterpart of the runtime engine's per-node records, with
-/// the same field schema so `trace diff` aligns them uniformly.
-fn emit_node<A: Accumulator>(
-    comm: &mut Comm,
-    telemetry: &repro_obs::TelemetryConfig,
-    ordinal: u64,
-    node: String,
-    start: usize,
-    shadow: &ShadowedAcc<A>,
-) {
-    use repro_obs::f;
-    let partial = shadow.inner.finalize();
-    let mut fields = vec![
-        f("node", node),
-        f("start", start),
-        f("len", shadow.n),
-        f("sum_bits", format!("{:016x}", partial.to_bits())),
-        f("bound", shadow.bound()),
-    ];
-    if telemetry.sample_exact(ordinal) {
-        let exact = shadow.exact.to_f64();
-        fields.push(f("ulps", repro_fp::ulp_distance(partial, exact)));
-        fields.push(f("exact_bits", format!("{:016x}", exact.to_bits())));
-    }
-    comm.trace_event("node", fields);
-}
-
 /// [`reduce_sum`] with numerical-accuracy telemetry: each rank emits one
-/// `node` event for its local partial (id `leaf.r{rank}`, interval
-/// `[global_start, global_start + len)` in the **global** element space the
-/// caller distributes), and the root emits one `node` event for the merged
-/// result (id `root`, interval `[0, global_len)`). Exact shadows ride
-/// inside the collective payload via [`ShadowedAcc`], so the root's Higham
-/// bound and ulp deviation cover the whole distributed input. Sampling
-/// ordinals are `rank + 1` for leaves and `0` for the root, so any nonzero
-/// sampling period always measures the root exactly.
+/// `node` event ([`repro_obs::node_fields`]) for its local partial (id
+/// `leaf.r{rank}`, interval `[global_start, global_start + len)` in the
+/// **global** element space the caller distributes), and the root emits one
+/// `node` event for the merged result (id `root`, interval starting at 0
+/// and covering every rank's elements). Exact shadows ride inside the
+/// collective payload via [`ShadowedAcc`], so the root's Higham bound and
+/// ulp deviation cover the whole distributed input. Sampling ordinals are
+/// `rank + 1` for leaves and `0` for the root, so any nonzero sampling
+/// period always measures the root exactly.
 ///
 /// With telemetry disabled this is byte-for-byte [`reduce_sum`]: no extra
 /// events, no shadow payloads, no extra messages.
-#[allow(clippy::too_many_arguments)]
 pub fn reduce_sum_telemetry(
     comm: &mut Comm,
     local_values: &[f64],
     global_start: usize,
-    global_len: usize,
     algorithm: Algorithm,
     root: usize,
     cfg: &ReduceConfig,
@@ -885,20 +834,22 @@ pub fn reduce_sum_telemetry(
     if !telemetry.enabled() {
         return reduce_sum(comm, local_values, algorithm, root, cfg);
     }
+    let node = |comm: &mut Comm,
+                ordinal: u64,
+                id: &str,
+                start: usize,
+                acc: &ShadowedAcc<AlgoAccumulator>| {
+        let partial = acc.inner.finalize();
+        let (fields, _) =
+            repro_obs::node_fields(&telemetry, ordinal, id, start, partial, &acc.shadow);
+        comm.trace_event("node", fields);
+    };
     let inner = local_accumulate(local_values, algorithm);
     let local = ShadowedAcc::over(inner, local_values);
-    let rank = comm.rank();
-    emit_node(
-        comm,
-        &telemetry,
-        rank as u64 + 1,
-        format!("leaf.r{rank}"),
-        global_start,
-        &local,
-    );
+    let (ordinal, leaf) = (comm.rank() as u64 + 1, format!("leaf.r{}", comm.rank()));
+    node(comm, ordinal, &leaf, global_start, &local);
     let merged = reduce_accumulator(comm, local, root, cfg)?;
-    debug_assert_eq!(merged.n, global_len, "global_len must cover all ranks");
-    emit_node(comm, &telemetry, 0, "root".to_string(), 0, &merged);
+    node(comm, 0, "root", 0, &merged);
     Some(merged.finalize())
 }
 
@@ -1172,10 +1123,10 @@ mod tests {
         let mut shadowed = ShadowedAcc::over(BinnedSum::new(3), &[]);
         shadowed.add_slice(&values);
         assert_eq!(shadowed.finalize().to_bits(), plain.finalize().to_bits());
-        assert_eq!(shadowed.n, values.len());
+        assert_eq!(shadowed.shadow.n(), values.len());
         // Exact shadow of zero-sum data is exactly zero.
-        assert_eq!(shadowed.exact.to_f64(), 0.0);
-        assert!(shadowed.bound() > 0.0);
+        assert_eq!(shadowed.shadow.exact(), 0.0);
+        assert!(shadowed.shadow.bound() > 0.0);
     }
 
     #[test]
@@ -1192,7 +1143,6 @@ mod tests {
                     c,
                     mine,
                     c.rank() * per,
-                    values.len(),
                     Algorithm::PR,
                     0,
                     &cfg,
@@ -1242,7 +1192,6 @@ mod tests {
                 c,
                 mine,
                 c.rank() * per,
-                values.len(),
                 Algorithm::Standard,
                 0,
                 &cfg,

@@ -23,7 +23,10 @@
 //!   [`WorldReport`], and the `ft_*` collectives **self-heal** — they
 //!   re-plan the reduction tree over the sorted survivor set
 //!   ([`repro_tree::topology::heal`]) so reproducible operators stay
-//!   bitwise identical to a fault-free run over the same survivors.
+//!   bitwise identical to a fault-free run over the same survivors,
+//! * [`collectives::reduce_sum_telemetry`] adds per-rank and root `node`
+//!   telemetry events ([`repro_obs::node_fields`]); the exact shadow
+//!   travels inside the payload as a [`ShadowedAcc`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

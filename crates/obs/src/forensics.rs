@@ -102,6 +102,10 @@ pub fn collect_nodes(text: &str) -> Result<Vec<NodeRecord>, String> {
             bound: value.get("bound").and_then(Json::as_num),
             ulps: value.get("ulps").and_then(uint),
         };
+        // Interval ends are computed downstream (containment, rendering).
+        if record.start.checked_add(record.len).is_none() {
+            return Err(format!("line {lineno}: interval start + len overflows u64"));
+        }
         out.push(record);
     }
     Ok(out)
@@ -348,6 +352,15 @@ mod tests {
         let bad_bits = "{\"sub\":\"r\",\"seq\":0,\"kind\":\"node\",\"node\":\"c0\",\
                         \"start\":0,\"len\":1,\"sum_bits\":\"zz\"}";
         assert!(collect_nodes(bad_bits).unwrap_err().contains("sum_bits"));
+    }
+
+    #[test]
+    fn overflowing_node_interval_is_an_error_not_a_panic() {
+        let big = 10_000_000_000_000_000_000u64;
+        let a = node_line("r", 0, "c0", big, big, 1.0);
+        let b = node_line("r", 0, "c0", big, big, 2.0);
+        assert!(collect_nodes(&a).unwrap_err().contains("overflows"));
+        assert!(diff_traces(&a, &b).unwrap_err().contains("overflows"));
     }
 
     #[test]

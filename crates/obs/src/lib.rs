@@ -42,7 +42,9 @@
 //!   for per-node accuracy instrumentation (partial-sum bits, Higham
 //!   bounds, exact shadow ulps) — **off by default**, and strictly
 //!   additive when on, so a run without it is byte-identical to the
-//!   pre-telemetry stream.
+//!   pre-telemetry stream. The `node` event schema ([`node_fields`]) and
+//!   its exact shadow ([`ExactShadow`]) live here too: every instrumented
+//!   layer builds its `node` events through them.
 //! * **Forensics** ([`forensics`]) aligns two traces of the same plan *by
 //!   node id, not sequence position*, finds the divergent nodes, and walks
 //!   the merge tree down to the leaf interval where divergence originated.
@@ -88,5 +90,5 @@ pub use metrics::{
     HistogramSnapshot, MetricsSnapshot, Registry, TIME_BUCKET_EDGES_US, ULP_BUCKET_EDGES,
 };
 pub use sink::{render_jsonl, JsonlSink, MemorySink, NoopSink, Sink};
-pub use telemetry::TelemetryConfig;
+pub use telemetry::{node_fields, ExactShadow, TelemetryConfig};
 pub use trace::{Scope, Trace};

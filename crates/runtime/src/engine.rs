@@ -3,102 +3,13 @@
 use crate::plan::{merge_in_plan_order, MergeOrder, ReductionPlan};
 use crate::pool::{PoolCounters, ThreadPool};
 use crate::stats::RuntimeStats;
-use repro_fp::Superaccumulator;
+use repro_obs::ExactShadow;
 use repro_sum::lanes::chunk_len_for_count;
 use repro_sum::Accumulator;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Exact shadow state carried alongside one reduction-tree node when
-/// telemetry is on: the correctly-rounded sum (for ulp deviation) and the
-/// exact absolute-value sum (for the Higham bound `n·u·Σ|xᵢ|`).
-struct NodeShadow {
-    exact: Superaccumulator,
-    abs: Superaccumulator,
-    n: usize,
-}
-
-impl NodeShadow {
-    fn over(chunk: &[f64]) -> Self {
-        let mut exact = Superaccumulator::new();
-        let mut abs = Superaccumulator::new();
-        exact.add_slice(chunk);
-        abs.add_slice_abs(chunk);
-        NodeShadow {
-            exact,
-            abs,
-            n: chunk.len(),
-        }
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        self.exact.merge(&other.exact);
-        self.abs.merge(&other.abs);
-        self.n += other.n;
-    }
-}
-
-/// Emits `node` telemetry events and aggregates them into a registry.
-/// Ordinals count nodes in deterministic plan order (leaves first, then
-/// merges in tree order), which is what the sampling policy keys on.
-struct NodeObserver<'r> {
-    telemetry: repro_obs::TelemetryConfig,
-    registry: Option<&'r repro_obs::Registry>,
-    ordinal: u64,
-    max_ulps: u64,
-}
-
-impl<'r> NodeObserver<'r> {
-    fn new(
-        telemetry: repro_obs::TelemetryConfig,
-        registry: Option<&'r repro_obs::Registry>,
-    ) -> Self {
-        NodeObserver {
-            telemetry,
-            registry,
-            ordinal: 0,
-            max_ulps: 0,
-        }
-    }
-
-    fn emit(
-        &mut self,
-        scope: &mut repro_obs::Scope,
-        node: String,
-        span: Range<usize>,
-        partial: f64,
-        shadow: &NodeShadow,
-    ) {
-        use repro_obs::f;
-        let bound = repro_fp::higham_bound(shadow.n, shadow.abs.to_f64());
-        let mut fields = vec![
-            f("node", node),
-            f("start", span.start),
-            f("len", span.len()),
-            f("sum_bits", format!("{:016x}", partial.to_bits())),
-            f("bound", bound),
-        ];
-        if self.telemetry.sample_exact(self.ordinal) {
-            let exact = shadow.exact.to_f64();
-            let ulps = repro_fp::ulp_distance(partial, exact);
-            fields.push(f("ulps", ulps));
-            fields.push(f("exact_bits", format!("{:016x}", exact.to_bits())));
-            self.max_ulps = self.max_ulps.max(ulps);
-            if let Some(r) = self.registry {
-                r.counter_add("runtime.nodes_sampled", 1);
-                r.observe("runtime.node_ulp", repro_obs::ULP_BUCKET_EDGES, ulps);
-                r.gauge_set("runtime.max_node_ulp", self.max_ulps as f64);
-            }
-        }
-        if let Some(r) = self.registry {
-            r.counter_add("runtime.nodes_observed", 1);
-        }
-        self.ordinal += 1;
-        scope.event("node", fields);
-    }
-}
 
 /// Which per-chunk kernel the workers run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -405,44 +316,18 @@ impl Runtime {
     /// facts (steals, wall times) are deliberately left out of the event
     /// stream; publish the returned [`RuntimeStats`] into a
     /// [`repro_obs::Registry`] for those.
-    pub fn reduce_traced<A, F>(
-        &self,
-        values: &[f64],
-        plan: &ReductionPlan,
-        make: F,
-        scope: &mut repro_obs::Scope,
-    ) -> (f64, RuntimeStats)
-    where
-        A: Accumulator,
-        F: Fn() -> A + Sync,
-    {
-        self.reduce_telemetry(
-            values,
-            plan,
-            make,
-            scope,
-            repro_obs::TelemetryConfig::off(),
-            None,
-        )
-    }
-
-    /// [`Runtime::reduce_traced`] with numerical-accuracy telemetry: when
-    /// `telemetry` is enabled, each reduction-tree node (leaf chunks and
-    /// plan-order merges) additionally emits one `node` event right after
-    /// its `chunk_exec`/`merge` event, carrying the plan-derived node id
-    /// ([`ReductionPlan::node_id`]), the element interval, the node's
-    /// partial-sum bits, and the running Higham bound `n·u·Σ|xᵢ|` over the
-    /// interval. At nodes selected by
-    /// [`repro_obs::TelemetryConfig::sample_exact`] (counted in plan
-    /// order), the event also carries the exact ulp deviation against a
-    /// [`repro_fp::Superaccumulator`] shadow reduction.
     ///
-    /// The `node` events are strictly **additive**: with
-    /// [`repro_obs::TelemetryConfig::off`] the emitted stream is
-    /// byte-identical to [`Runtime::reduce_traced`]'s, and with telemetry
-    /// on, stripping the `node` events recovers it. Either way the stream
-    /// stays worker-count-invariant — the shadow reduction and bounds are
-    /// computed serially in plan order after the parallel phase.
+    /// When `telemetry` is enabled, each reduction-tree node (leaf chunks
+    /// and plan-order merges) additionally emits one `node` event
+    /// ([`repro_obs::node_fields`]) right after its `chunk_exec`/`merge`
+    /// event, with the plan-derived node id ([`ReductionPlan::node_id`])
+    /// and interval start ([`ReductionPlan::node_span`]), measured against
+    /// a [`repro_obs::ExactShadow`]. Ordinals for exact sampling count
+    /// nodes in plan order. The `node` events are strictly **additive**:
+    /// with [`repro_obs::TelemetryConfig::off`] none are emitted, and with
+    /// telemetry on, stripping them recovers the off stream. Either way the
+    /// stream stays worker-count-invariant — the shadows are computed
+    /// serially in plan order after the parallel phase.
     ///
     /// With a `registry`, per-node facts aggregate into it: counters
     /// `runtime.nodes_observed` / `runtime.nodes_sampled`, the
@@ -490,19 +375,40 @@ impl Runtime {
             |i, part| slots[i] = Some(part),
         );
 
-        // Shadow state for telemetry: per-chunk exact superaccumulators
-        // and absolute-value sums, computed serially in plan order after
-        // the parallel phase — the telemetry must be as worker-count-
-        // invariant as the events it decorates.
-        let mut shadows: Vec<Option<NodeShadow>> = if telemetry.enabled() {
+        // Shadow state for telemetry: per-chunk exact shadows, computed
+        // serially in plan order after the parallel phase — the telemetry
+        // must be as worker-count-invariant as the events it decorates.
+        let mut shadows: Vec<Option<ExactShadow>> = if telemetry.enabled() {
             plan.chunks()
                 .iter()
-                .map(|r| Some(NodeShadow::over(&values[r.clone()])))
+                .map(|r| Some(ExactShadow::over(&values[r.clone()])))
                 .collect()
         } else {
             Vec::new()
         };
-        let mut nodes = NodeObserver::new(telemetry, registry);
+        let (mut ordinal, mut max_ulps) = (0u64, 0u64);
+        let mut node = |scope: &mut repro_obs::Scope,
+                        i: usize,
+                        stride: usize,
+                        partial: f64,
+                        shadow: &ExactShadow| {
+            let span = plan.node_span(i, stride);
+            debug_assert_eq!(span.len(), shadow.n(), "shadow covers the node span");
+            let id = plan.node_id(i, stride);
+            let (fields, ulps) =
+                repro_obs::node_fields(&telemetry, ordinal, &id, span.start, partial, shadow);
+            ordinal += 1;
+            if let Some(r) = registry {
+                r.counter_add("runtime.nodes_observed", 1);
+                if let Some(ulps) = ulps {
+                    max_ulps = max_ulps.max(ulps);
+                    r.counter_add("runtime.nodes_sampled", 1);
+                    r.observe("runtime.node_ulp", repro_obs::ULP_BUCKET_EDGES, ulps);
+                    r.gauge_set("runtime.max_node_ulp", max_ulps as f64);
+                }
+            }
+            scope.event("node", fields);
+        };
 
         // Narrate chunk completion in plan order, after the barrier: the
         // workers raced, the story must not.
@@ -518,7 +424,7 @@ impl Runtime {
             if telemetry.enabled() {
                 let partial = slots[i].as_ref().expect("chunk reported").finalize();
                 let shadow = shadows[i].as_ref().expect("shadow slot filled");
-                nodes.emit(scope, plan.node_id(i, 0), range.clone(), partial, shadow);
+                node(scope, i, 0, partial, shadow);
             }
         }
 
@@ -532,8 +438,7 @@ impl Runtime {
                 let right = shadows[i + stride].take().expect("shadow slot filled");
                 let left = shadows[i].as_mut().expect("shadow slot filled");
                 left.absorb(&right);
-                let span = plan.node_span(i, stride);
-                nodes.emit(scope, plan.node_id(i, stride), span, a.finalize(), left);
+                node(scope, i, stride, a.finalize(), left);
             }
         })
         .expect("plan has at least one chunk");
@@ -1064,7 +969,9 @@ mod tests {
             let rt = Runtime::new(workers);
             let (trace, sink) = Trace::to_memory();
             let mut scope = trace.scope("runtime");
-            let (sum, stats) = rt.reduce_traced(&values, &plan, || BinnedSum::new(3), &mut scope);
+            let off = repro_obs::TelemetryConfig::off();
+            let make = || BinnedSum::new(3);
+            let (sum, stats) = rt.reduce_telemetry(&values, &plan, make, &mut scope, off, None);
             assert_eq!(stats.chunks, plan.num_chunks());
             (sum, render_jsonl(&sink.drain()))
         };
@@ -1086,29 +993,22 @@ mod tests {
         let values = data(20_000);
         let plan = ReductionPlan::with_chunk_len(values.len(), 2048);
         let rt = Runtime::new(4);
-        let run = |telemetry: Option<TelemetryConfig>| {
+        let run = |telemetry: TelemetryConfig| {
             let (trace, sink) = Trace::to_memory();
             let mut scope = trace.scope("runtime");
-            match telemetry {
-                None => {
-                    rt.reduce_traced(&values, &plan, || BinnedSum::new(3), &mut scope);
-                }
-                Some(cfg) => {
-                    rt.reduce_telemetry(
-                        &values,
-                        &plan,
-                        || BinnedSum::new(3),
-                        &mut scope,
-                        cfg,
-                        None,
-                    );
-                }
-            }
+            rt.reduce_telemetry(
+                &values,
+                &plan,
+                || BinnedSum::new(3),
+                &mut scope,
+                telemetry,
+                None,
+            );
             render_jsonl(&sink.drain())
         };
-        // The telemetry entry point with the off config emits the exact
-        // bytes of the pre-telemetry path: the determinism contract.
-        assert_eq!(run(None), run(Some(TelemetryConfig::off())));
+        // The off config emits no `node` events: the determinism contract.
+        let off = run(TelemetryConfig::off());
+        assert!(!off.contains("\"kind\":\"node\""), "{off}");
         // And telemetry on is strictly additive: dropping the node lines
         // recovers the off stream, up to the logical timestamps the extra
         // events consumed.
@@ -1123,10 +1023,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(
-            drop_seq(run(Some(TelemetryConfig::full()))),
-            drop_seq(run(None))
-        );
+        assert_eq!(drop_seq(run(TelemetryConfig::full())), drop_seq(off));
     }
 
     #[test]
@@ -1167,7 +1064,7 @@ mod tests {
         assert_eq!(root.start, 0);
         assert!(root.node.starts_with('m'));
         let exact: f64 = {
-            let mut s = Superaccumulator::new();
+            let mut s = repro_fp::Superaccumulator::new();
             for &x in &values {
                 s.add(x);
             }

@@ -17,7 +17,9 @@
 //!   reproducible operators must absorb);
 //! - [`Runtime`] — the engine tying both together, with
 //!   [`RuntimeStats`] counters (tasks, steals, merge depth, per-stage wall
-//!   time) for every call;
+//!   time) for every call, and one traced entry point,
+//!   [`Runtime::reduce_telemetry`], whose optional per-node telemetry is
+//!   built by [`repro_obs::node_fields`];
 //! - [`spawn_reduce`] — the old spawn-per-call reference path, kept as the
 //!   benchmark baseline.
 //!

@@ -167,9 +167,7 @@ impl AdaptiveReducer {
         let sum = if algorithm == Algorithm::Standard {
             speculative.finalize()
         } else {
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(values);
-            acc.finalize()
+            algorithm.sum(values)
         };
         Outcome {
             sum,
@@ -224,10 +222,8 @@ impl AdaptiveReducer {
                 }
             };
             flight_decision("reduce_cached", algorithm, values.len());
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(values);
             return Outcome {
-                sum: acc.finalize(),
+                sum: algorithm.sum(values),
                 algorithm,
                 profile: est,
             };
@@ -248,10 +244,8 @@ impl AdaptiveReducer {
         let mut explanation = explain::explain(&profile, self.tolerance);
         explanation.chosen = algorithm;
         explain::record_decision(scope, &profile, &explanation);
-        let mut acc = algorithm.new_accumulator();
-        acc.add_slice(values);
         Outcome {
-            sum: acc.finalize(),
+            sum: algorithm.sum(values),
             algorithm,
             profile,
         }
@@ -287,12 +281,7 @@ impl AdaptiveReducer {
         let mut explanation = explain::explain(&profile, self.tolerance);
         explanation.chosen = algorithm;
 
-        let run = |vals: &[f64]| {
-            let mut acc = algorithm.new_accumulator();
-            acc.add_slice(vals);
-            acc.finalize()
-        };
-        let sum = run(values);
+        let sum = algorithm.sum(values);
         let (mut lo, mut hi) = (sum, sum);
         // Seed from plan-independent data facts so the measurement (and
         // with it the decision record) is a pure function of the input.
@@ -300,7 +289,7 @@ impl AdaptiveReducer {
         let mut shuffled = values.to_vec();
         for _ in 0..Self::REALIZED_SPREAD_RUNS {
             rng.shuffle(&mut shuffled);
-            let s = run(&shuffled);
+            let s = algorithm.sum(&shuffled);
             lo = lo.min(s);
             hi = hi.max(s);
         }

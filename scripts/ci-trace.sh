@@ -11,6 +11,9 @@ TRACE_DIR=target/traces
 mkdir -p "$TRACE_DIR"
 
 run() { cargo run --release -q -p repro-cli --bin repro-reduce -- "$@"; }
+# The JSONL event lines of a saved trace: '#' summary lines legitimately
+# differ run to run ('# metric' lines carry wall-clock timings and steals).
+events_only() { grep -v '^#' "$1" > "$1.events"; }
 
 echo "== build (release) =="
 cargo build --release -p repro-cli
@@ -74,6 +77,32 @@ grep -q "first divergent node:" "$TRACE_DIR/diff-perturbed.txt" \
 grep -q "origin: node rank1/leaf.r1.s2 leaf interval \[514, 600) ulps=1" "$TRACE_DIR/diff-perturbed.txt" \
   || { echo "perturbed diff did not walk to the injected leaf origin" >&2; exit 1; }
 
+echo "== telemetried runtime reduce, twice, fixed seed =="
+RTELEM_ARGS=(trace reduce --n 4096 --k inf --dr 12 --seed 2015 --telemetry)
+run "${RTELEM_ARGS[@]}" > "$TRACE_DIR/reduce-telemetry-a.jsonl"
+run "${RTELEM_ARGS[@]}" > "$TRACE_DIR/reduce-telemetry-b.jsonl"
+grep -q '"sub":"runtime","seq":[0-9]*,"kind":"node"' "$TRACE_DIR/reduce-telemetry-a.jsonl" \
+  || { echo "telemetried reduce carried no runtime node events" >&2; exit 1; }
+events_only "$TRACE_DIR/reduce-telemetry-a.jsonl"
+events_only "$TRACE_DIR/reduce-telemetry-b.jsonl"
+diff "$TRACE_DIR/reduce-telemetry-a.jsonl.events" "$TRACE_DIR/reduce-telemetry-b.jsonl.events" \
+  || { echo "telemetried reduce events failed to replay byte-identically" >&2; exit 1; }
+run trace check --file "$TRACE_DIR/reduce-telemetry-a.jsonl"
+run trace diff "$TRACE_DIR/reduce-telemetry-a.jsonl" "$TRACE_DIR/reduce-telemetry-a.jsonl" \
+  || { echo "a telemetried reduce trace did not diff clean against itself" >&2; exit 1; }
+
+echo "== trace diff: runtime perturbation must be caught at its node =="
+run "${RTELEM_ARGS[@]}" --perturb 567 > "$TRACE_DIR/reduce-telemetry-perturbed.jsonl"
+set +e
+run trace diff "$TRACE_DIR/reduce-telemetry-a.jsonl" "$TRACE_DIR/reduce-telemetry-perturbed.jsonl" \
+  > "$TRACE_DIR/diff-reduce-perturbed.txt" 2>&1
+rdiff_code=$?
+set -e
+[ "$rdiff_code" -eq 1 ] \
+  || { echo "perturbed reduce diff exited $rdiff_code, want 1 (divergence)" >&2; exit 1; }
+grep -q "runtime/c0" "$TRACE_DIR/diff-reduce-perturbed.txt" \
+  || { echo "perturbed reduce diff did not name runtime/c0" >&2; exit 1; }
+
 echo "== replay gate: manifest round-trips bitwise =="
 # No --k inf here: the zero-sum generator reduces to bitwise 0.0 for every
 # seed, which would make the seed-perturbation probe below vacuous. The
@@ -114,7 +143,6 @@ echo "== flight recorder off: event stream must stay byte-identical =="
 # Only the JSONL event lines are compared: '#' summary lines legitimately
 # differ (the manifest's env capture records REPRO_FLIGHT itself, and
 # '# metric' histograms carry wall-clock timings).
-events_only() { grep -v '^#' "$1" > "$1.events"; }
 run trace reduce --n 2048 --dr 12 --seed 2015 > "$TRACE_DIR/flight-on.jsonl"
 REPRO_FLIGHT=off run trace reduce --n 2048 --dr 12 --seed 2015 \
   > "$TRACE_DIR/flight-off.jsonl"
