@@ -1,5 +1,14 @@
 //! Collectives: barrier, broadcast, allreduce-max, and accumulator
 //! reduction with pluggable topologies.
+//!
+//! One reduce walk serves every tree-shaped collective: on each rank it
+//! merges its children's partials in tree order, then sends to its parent
+//! or, at the root, returns the result. The tree is always a
+//! [`HealedTree`], the one definition of the binomial and chain links —
+//! over all ranks for the blocking collectives, over the sorted survivors
+//! for the `ft_*` ones — and the walk runs over one of two links: blocking
+//! (`send`/`recv`/`recv_any`) or timed (`try_send`/`recv_timeout`/
+//! `recv_deadline`). `broadcast` walks the same binomial tree downward.
 
 use crate::comm::Comm;
 use crate::fault::{ConfigError, FaultError};
@@ -107,6 +116,122 @@ fn apply_jitter(cfg: &ReduceConfig, rank: usize) {
     }
 }
 
+/// Panic, naming `collective`, on a configuration the `ft_*` collectives
+/// would reject with an `Err`. Every rank runs the same check before it
+/// sends anything, so a bad configuration fails every rank and leaves none
+/// waiting.
+fn validate_or_panic(cfg: &ReduceConfig, collective: &str) {
+    if let Err(e) = cfg.validate() {
+        panic!("{collective}: {e}");
+    }
+}
+
+/// The tree a blocking collective walks: every rank, with `root` at virtual
+/// rank 0, so virtual rank = `(rank + size − root) % size`. Panics, naming
+/// `collective`, if `root` is not a rank.
+fn world_tree(comm: &Comm, root: usize, collective: &str) -> HealedTree {
+    let size = comm.size();
+    assert!(
+        root < size,
+        "{collective}: root {root} is not a rank of this {size}-rank world"
+    );
+    heal(&(0..size).collect::<Vec<_>>(), root)
+}
+
+/// How the reduce walk moves partials between ranks.
+#[derive(Clone, Copy)]
+enum Link {
+    /// `send` / `recv` / `recv_any`, which wait as long as it takes: the
+    /// blocking collectives.
+    Blocking,
+    /// `try_send` / `recv_timeout`, and any-source receives (a flat root's)
+    /// that give up at `any_deadline`: one round of an `ft_*` collective.
+    Timed { any_deadline: Instant },
+}
+
+/// A blocking link reports no faults; this is its `expect` message.
+const BLOCKING: &str = "a blocking link never fails";
+
+impl Link {
+    fn send<T: Any + Send>(
+        self,
+        comm: &mut Comm,
+        to: usize,
+        tag: u64,
+        value: T,
+    ) -> Result<(), FaultError> {
+        match self {
+            Link::Blocking => {
+                comm.send(to, tag, value);
+                Ok(())
+            }
+            Link::Timed { .. } => comm.try_send(to, tag, value),
+        }
+    }
+
+    /// Receive from `from`, or from any source when it is `None`.
+    fn recv<T: Any + Send>(
+        self,
+        comm: &mut Comm,
+        from: Option<usize>,
+        tag: u64,
+    ) -> Result<T, FaultError> {
+        match (self, from) {
+            (Link::Blocking, Some(from)) => Ok(comm.recv(from, tag)),
+            (Link::Blocking, None) => Ok(comm.recv_any(tag).1),
+            (Link::Timed { .. }, Some(from)) => comm.recv_timeout(from, tag),
+            (Link::Timed { any_deadline }, None) => {
+                comm.recv_deadline(None, tag, any_deadline).map(|(_, v)| v)
+            }
+        }
+    }
+}
+
+/// The one reduce walk, run on every rank of `tree`. This rank merges its
+/// children's partials into `local` in the tree's order, then sends the
+/// result to its parent (`Ok(None)`) or, at the root, returns it
+/// (`Ok(Some)`). Binomial and Chain take their links from [`HealedTree`];
+/// under FlatArrival every rank sends straight to the root, which merges
+/// the partials **in arrival order**. On a timed link a `Timeout` means a
+/// link on this rank's path died mid-round.
+fn reduce_walk<T: Any + Send>(
+    comm: &mut Comm,
+    tree: &HealedTree,
+    topology: ReduceTopology,
+    link: Link,
+    tag: u64,
+    local: T,
+    merge: impl Fn(&mut T, &T),
+) -> Result<Option<T>, FaultError> {
+    let rank = comm.rank();
+    let root = tree.rank_of(0);
+    // A `None` child is "any source".
+    let (children, parent): (Vec<Option<usize>>, _) = match topology {
+        ReduceTopology::Binomial => (
+            tree.binomial_children(rank).into_iter().map(Some).collect(),
+            tree.binomial_parent(rank),
+        ),
+        ReduceTopology::Chain => (
+            tree.chain_child(rank).map(Some).into_iter().collect(),
+            tree.chain_parent(rank),
+        ),
+        ReduceTopology::FlatArrival if rank == root => (vec![None; tree.len() - 1], None),
+        ReduceTopology::FlatArrival => (Vec::new(), Some(root)),
+    };
+    let mut acc = local;
+    for child in children {
+        let partial = link.recv(comm, child, tag)?;
+        merge(&mut acc, &partial);
+    }
+    match parent {
+        Some(to) => {
+            link.send(comm, to, tag, acc)?;
+            Ok(None)
+        }
+        None => Ok(Some(acc)),
+    }
+}
+
 /// Block until every rank has arrived (dissemination barrier).
 pub fn barrier(comm: &mut Comm) {
     let tag = comm.next_op_tag();
@@ -125,67 +250,57 @@ pub fn barrier(comm: &mut Comm) {
     }
 }
 
-/// Broadcast `value` from `root` to every rank (binomial tree).
+/// Broadcast `value` from `root` to every rank, down the binomial tree the
+/// reduce walk climbs: receive from the parent, then forward to the
+/// children, farthest subtree first.
 pub fn broadcast<T: Any + Send + Clone>(comm: &mut Comm, root: usize, value: Option<T>) -> T {
+    let tree = world_tree(comm, root, "broadcast");
     let tag = comm.next_op_tag();
-    let size = comm.size();
-    // Rotate so the root is virtual rank 0.
-    let vrank = (comm.rank() + size - root) % size;
-    let mut have: Option<T> = if vrank == 0 {
-        Some(value.expect("root must supply the broadcast value"))
-    } else {
-        None
+    let rank = comm.rank();
+    let value = match tree.binomial_parent(rank) {
+        Some(parent) => comm.recv(parent, tag),
+        None => value.expect("root must supply the broadcast value"),
     };
-    // MPICH-style binomial broadcast over virtual ranks: receive from the
-    // parent at the lowest set bit, then forward to children below it.
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            let src = (vrank - mask + root) % size;
-            have = Some(comm.recv(src, tag));
-            break;
-        }
-        mask <<= 1;
+    for child in tree.binomial_children(rank).into_iter().rev() {
+        comm.send(child, tag, value.clone());
     }
-    mask >>= 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < size {
-            let v = have.clone().expect("value present before forwarding");
-            comm.send((child + root) % size, tag, v);
-        }
-        mask >>= 1;
-    }
-    have.expect("broadcast did not reach this rank")
+    value
+}
+
+/// Reduce `x` to rank 0 up the binomial tree with `merge`, then broadcast
+/// the result back: every rank returns the same value.
+fn allreduce_binomial<T: Any + Send + Clone>(
+    comm: &mut Comm,
+    x: T,
+    merge: impl Fn(&mut T, &T),
+) -> T {
+    let tree = world_tree(comm, 0, "allreduce");
+    let tag = comm.next_op_tag();
+    let reduced = reduce_walk(
+        comm,
+        &tree,
+        ReduceTopology::Binomial,
+        Link::Blocking,
+        tag,
+        x,
+        merge,
+    )
+    .expect(BLOCKING);
+    broadcast(comm, 0, reduced)
 }
 
 /// Allreduce-max of one scalar: reduce to rank 0 over a chain-free binomial
 /// tree, then broadcast back. Exact (max is associative/commutative), so
 /// topology does not matter for the value.
 pub fn allreduce_max(comm: &mut Comm, x: f64) -> f64 {
-    let tag = comm.next_op_tag();
-    let size = comm.size();
-    let rank = comm.rank();
-    let mut acc = x;
-    // Reduce up the binomial tree.
-    let mut mask = 1usize;
-    while mask < size {
-        if rank & mask != 0 {
-            comm.send(rank & !mask, tag, acc);
-            break;
-        }
-        let peer = rank | mask;
-        if peer < size {
-            let other: f64 = comm.recv(peer, tag);
-            acc = acc.max(other);
-        }
-        mask <<= 1;
-    }
-    broadcast(comm, 0, if rank == 0 { Some(acc) } else { None })
+    allreduce_binomial(comm, x, |acc, other| *acc = acc.max(*other))
 }
 
 /// Reduce per-rank accumulators to `root` with the configured topology.
 /// Returns `Some(merged)` on the root, `None` elsewhere.
+///
+/// Panics on every rank if `root` is not a rank or `cfg` fails
+/// [`ReduceConfig::validate`].
 pub fn reduce_accumulator<A>(
     comm: &mut Comm,
     local: A,
@@ -195,62 +310,20 @@ pub fn reduce_accumulator<A>(
 where
     A: Accumulator + Any,
 {
+    validate_or_panic(cfg, "reduce_accumulator");
+    let tree = world_tree(comm, root, "reduce_accumulator");
     let tag = comm.next_op_tag();
-    let size = comm.size();
-    let rank = comm.rank();
-    apply_jitter(cfg, rank);
-    match cfg.topology {
-        ReduceTopology::FlatArrival => {
-            if rank == root {
-                let mut acc = local;
-                for _ in 0..size - 1 {
-                    let (_, partial): (usize, A) = comm.recv_any(tag);
-                    acc.merge(&partial);
-                }
-                Some(acc)
-            } else {
-                comm.send(root, tag, local);
-                None
-            }
-        }
-        ReduceTopology::Chain => {
-            // Virtual chain with root at position 0.
-            let vrank = (rank + size - root) % size;
-            let mut acc = local;
-            if vrank + 1 < size {
-                let src = (vrank + 1 + root) % size;
-                let upstream: A = comm.recv(src, tag);
-                acc.merge(&upstream);
-            }
-            if vrank > 0 {
-                let dst = (vrank - 1 + root) % size;
-                comm.send(dst, tag, acc);
-                None
-            } else {
-                Some(acc)
-            }
-        }
-        ReduceTopology::Binomial => {
-            let vrank = (rank + size - root) % size;
-            let mut acc = local;
-            let mut mask = 1usize;
-            while mask < size {
-                if vrank & mask != 0 {
-                    let dst = (vrank - mask + root) % size;
-                    comm.send(dst, tag, acc);
-                    return None;
-                }
-                let peer = vrank | mask;
-                if peer < size {
-                    let src = (peer + root) % size;
-                    let partial: A = comm.recv(src, tag);
-                    acc.merge(&partial);
-                }
-                mask <<= 1;
-            }
-            Some(acc)
-        }
-    }
+    apply_jitter(cfg, comm.rank());
+    reduce_walk(
+        comm,
+        &tree,
+        cfg.topology,
+        Link::Blocking,
+        tag,
+        local,
+        A::merge,
+    )
+    .expect(BLOCKING)
 }
 
 /// Allreduce: reduce the accumulators to rank 0, broadcast the finalized
@@ -263,25 +336,29 @@ where
     broadcast(comm, 0, merged)
 }
 
+/// Receive one `tag` value from every other rank, in arrival order, and
+/// return all `size` values in rank order with `own` in this rank's slot.
+fn collect_slots<T: Any + Send>(comm: &mut Comm, tag: u64, own: T) -> Vec<T> {
+    let size = comm.size();
+    let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
+    slots[comm.rank()] = Some(own);
+    for _ in 0..size - 1 {
+        let (from, v): (usize, T) = comm.recv_any(tag);
+        debug_assert!(slots[from].is_none(), "duplicate contribution");
+        slots[from] = Some(v);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every rank contributes"))
+        .collect()
+}
+
 /// Gather one value per rank to `root`, in rank order. Returns
 /// `Some(values)` on the root, `None` elsewhere.
 pub fn gather<T: Any + Send>(comm: &mut Comm, value: T, root: usize) -> Option<Vec<T>> {
     let tag = comm.next_op_tag();
     if comm.rank() == root {
-        let size = comm.size();
-        let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
-        slots[root] = Some(value);
-        for _ in 0..size - 1 {
-            let (from, v): (usize, T) = comm.recv_any(tag);
-            debug_assert!(slots[from].is_none(), "duplicate gather contribution");
-            slots[from] = Some(v);
-        }
-        Some(
-            slots
-                .into_iter()
-                .map(|s| s.expect("all ranks contribute"))
-                .collect(),
-        )
+        Some(collect_slots(comm, tag, value))
     } else {
         comm.send(root, tag, value);
         None
@@ -304,27 +381,11 @@ pub fn adaptive_reduce_sum(
     root: usize,
     cfg: &ReduceConfig,
 ) -> Option<(f64, Algorithm)> {
+    validate_or_panic(cfg, "adaptive_reduce_sum");
     // 1. Profile locally (chunk-parallel on the runtime pool);
     // 2. allreduce the profile (binomial up, bcast down).
     let local = repro_select::profile_parallel(local_values);
-    let tag = comm.next_op_tag();
-    let size = comm.size();
-    let rank = comm.rank();
-    let mut acc = local;
-    let mut mask = 1usize;
-    while mask < size {
-        if rank & mask != 0 {
-            comm.send(rank & !mask, tag, acc);
-            break;
-        }
-        let peer = rank | mask;
-        if peer < size {
-            let other: DataProfile = comm.recv(peer, tag);
-            acc.merge(&other);
-        }
-        mask <<= 1;
-    }
-    let global: DataProfile = broadcast(comm, 0, (rank == 0).then_some(acc));
+    let global = allreduce_binomial(comm, local, DataProfile::merge);
     // 3. Same profile + same deterministic selector = same choice everywhere.
     let algorithm = HeuristicSelector::default().choose(&global, tolerance);
     // 4. Reduce with the chosen operator, local chunk on the runtime pool.
@@ -383,17 +444,7 @@ pub fn alltoall<T: Any + Send>(comm: &mut Comm, outgoing: Vec<T>) -> Vec<T> {
             comm.send(to, tag, v);
         }
     }
-    let mut slots: Vec<Option<T>> = (0..size).map(|_| None).collect();
-    slots[me] = keep;
-    for _ in 0..size - 1 {
-        let (from, v): (usize, T) = comm.recv_any(tag);
-        debug_assert!(slots[from].is_none());
-        slots[from] = Some(v);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every rank contributes"))
-        .collect()
+    collect_slots(comm, tag, keep.expect("one outgoing value per rank"))
 }
 
 /// Healing rounds a fault-tolerant collective attempts before giving up.
@@ -422,66 +473,34 @@ pub struct FtOutcome<T> {
     pub rounds: u64,
 }
 
-/// One attempt at reducing over the healed tree. A `Timeout` error means a
-/// link on this rank's path died mid-round (round failure, root will
-/// re-plan); other errors are terminal for this rank.
-fn reduce_round<A>(
+/// Send `value` on a timed link to every rank in `to` except `root`.
+fn fan_out<T: Any + Send + Clone>(
     comm: &mut Comm,
-    tree: &HealedTree,
-    local: A,
-    topology: ReduceTopology,
+    to: impl IntoIterator<Item = usize>,
+    root: usize,
     tag: u64,
-    budget: Duration,
-) -> Result<Option<A>, FaultError>
-where
-    A: Accumulator + Any,
-{
-    let rank = comm.rank();
-    let m = tree.len();
-    let v = tree.vrank_of(rank).expect("caller verified membership");
-    let mut acc = local;
-    match topology {
-        ReduceTopology::FlatArrival => {
-            if v == 0 {
-                let deadline = Instant::now() + budget.saturating_mul(2);
-                for _ in 1..m {
-                    let (_, partial): (usize, A) = comm.recv_deadline(None, tag, deadline)?;
-                    acc.merge(&partial);
-                }
-                Ok(Some(acc))
-            } else {
-                comm.try_send(tree.rank_of(0), tag, acc)?;
-                Ok(None)
-            }
+    value: &T,
+) -> Result<(), FaultError> {
+    for s in to {
+        if s != root {
+            comm.try_send(s, tag, value.clone())?;
         }
-        ReduceTopology::Chain => {
-            if v + 1 < m {
-                let upstream: A = comm.recv_timeout(tree.rank_of(v + 1), tag)?;
-                acc.merge(&upstream);
-            }
-            if v > 0 {
-                comm.try_send(tree.rank_of(v - 1), tag, acc)?;
-                Ok(None)
-            } else {
-                Ok(Some(acc))
-            }
-        }
-        ReduceTopology::Binomial => {
-            let mut mask = 1usize;
-            while mask < m {
-                if v & mask != 0 {
-                    comm.try_send(tree.rank_of(v & !mask), tag, acc)?;
-                    return Ok(None);
-                }
-                let child = v | mask;
-                if child < m {
-                    let partial: A = comm.recv_timeout(tree.rank_of(child), tag)?;
-                    acc.merge(&partial);
-                }
-                mask <<= 1;
-            }
-            Ok(Some(acc))
-        }
+    }
+    Ok(())
+}
+
+/// Wait up to `wait` for the root's `tag` message. A timeout means the root
+/// is gone: [`FaultError::RootUnreachable`].
+fn recv_from_root<T: Any + Send>(
+    comm: &mut Comm,
+    root: usize,
+    tag: u64,
+    wait: Duration,
+) -> Result<T, FaultError> {
+    match comm.recv_deadline(Some(root), tag, Instant::now() + wait) {
+        Ok((_, v)) => Ok(v),
+        Err(FaultError::Timeout { .. }) => Err(FaultError::RootUnreachable { root }),
+        Err(e) => Err(e),
     }
 }
 
@@ -552,22 +571,11 @@ where
                 }
             }
             alive.sort_unstable();
-            for &s in &alive {
-                if s != root {
-                    comm.try_send(s, t_member, alive.clone())?;
-                }
-            }
+            fan_out(comm, alive.iter().copied(), root, t_member, &alive)?;
             alive
         } else {
             comm.try_send(root, t_ping, rank)?;
-            let deadline = Instant::now() + budget.saturating_mul(3);
-            match comm.recv_deadline::<Vec<usize>>(Some(root), t_member, deadline) {
-                Ok((_, v)) => v,
-                Err(FaultError::Timeout { .. }) => {
-                    return Err(FaultError::RootUnreachable { root })
-                }
-                Err(e) => return Err(e),
-            }
+            recv_from_root(comm, root, t_member, budget.saturating_mul(3))?
         };
         if !survivors.contains(&rank) {
             return Err(FaultError::Excluded { rank });
@@ -577,7 +585,18 @@ where
         // original local accumulator so the final association depends only
         // on the final survivor set.
         let tree = heal(&survivors, root);
-        let attempt = match reduce_round(comm, &tree, local.clone(), cfg.topology, t_part, budget) {
+        let link = Link::Timed {
+            any_deadline: Instant::now() + budget.saturating_mul(2),
+        };
+        let attempt = match reduce_walk(
+            comm,
+            &tree,
+            cfg.topology,
+            link,
+            t_part,
+            local.clone(),
+            A::merge,
+        ) {
             Ok(v) => Some(v),
             Err(FaultError::Timeout { .. }) => None,
             Err(e) => return Err(e),
@@ -586,48 +605,25 @@ where
         // Phase 4: outcome. Root success ⇒ every partial arrived (a failure
         // anywhere blocks a path to the root); root failure ⇒ heal and
         // retry with fresh tags.
-        if rank == root {
-            match attempt {
-                Some(value) => {
-                    for &s in &survivors {
-                        if s != root {
-                            comm.try_send(s, t_out, true)?;
-                        }
-                    }
-                    return Ok(FtOutcome {
-                        value,
-                        survivors,
-                        rounds: round + 1,
-                    });
-                }
-                None => {
-                    for &s in &survivors {
-                        if s != root {
-                            comm.try_send(s, t_out, false)?;
-                        }
-                    }
-                    comm.note_heal();
-                }
-            }
+        let done = if rank == root {
+            let done = attempt.is_some();
+            fan_out(comm, survivors.iter().copied(), root, t_out, &done)?;
+            done
         } else {
             // The root may still be cascading through its own timeouts;
             // scale the wait with the tree depth plus slack.
             let depth = usize::BITS - survivors.len().leading_zeros() + 3;
-            let deadline = Instant::now() + budget.saturating_mul(depth);
-            match comm.recv_deadline::<bool>(Some(root), t_out, deadline) {
-                Ok((_, true)) => {
-                    return Ok(FtOutcome {
-                        value: None,
-                        survivors,
-                        rounds: round + 1,
-                    })
-                }
-                Ok((_, false)) => {} // heal: next round
-                Err(FaultError::Timeout { .. }) => {
-                    return Err(FaultError::RootUnreachable { root })
-                }
-                Err(e) => return Err(e),
-            }
+            recv_from_root(comm, root, t_out, budget.saturating_mul(depth))?
+        };
+        if done {
+            return Ok(FtOutcome {
+                value: attempt.flatten(),
+                survivors,
+                rounds: round + 1,
+            });
+        }
+        if rank == root {
+            comm.note_heal();
         }
     }
     Err(FaultError::TooManyRounds {
@@ -667,34 +663,23 @@ where
 {
     let out = ft_reduce_accumulator(comm, local, 0, cfg)?;
     let tag = comm.next_op_tag();
-    if comm.rank() == 0 {
+    let sum = if comm.rank() == 0 {
         let sum = out
             .value
             .as_ref()
             .expect("root holds the merged accumulator")
             .finalize();
-        for &s in &out.survivors {
-            if s != 0 {
-                comm.try_send(s, tag, sum)?;
-            }
-        }
-        Ok(FtOutcome {
-            value: Some(sum),
-            survivors: out.survivors,
-            rounds: out.rounds,
-        })
+        fan_out(comm, out.survivors.iter().copied(), 0, tag, &sum)?;
+        sum
     } else {
-        let deadline = Instant::now() + comm.link_budget().saturating_mul(2);
-        match comm.recv_deadline::<f64>(Some(0), tag, deadline) {
-            Ok((_, sum)) => Ok(FtOutcome {
-                value: Some(sum),
-                survivors: out.survivors,
-                rounds: out.rounds,
-            }),
-            Err(FaultError::Timeout { .. }) => Err(FaultError::RootUnreachable { root: 0 }),
-            Err(e) => Err(e),
-        }
-    }
+        let wait = comm.link_budget().saturating_mul(2);
+        recv_from_root(comm, 0, tag, wait)?
+    };
+    Ok(FtOutcome {
+        value: Some(sum),
+        survivors: out.survivors,
+        rounds: out.rounds,
+    })
 }
 
 /// Self-healing [`adaptive_reduce_sum`]: the root gathers whatever data
@@ -731,20 +716,12 @@ pub fn ft_adaptive_reduce_sum(
             }
         }
         let choice = HeuristicSelector::default().choose(&global, tolerance);
-        for s in 0..size {
-            if s != root {
-                comm.try_send(s, t_choice, choice)?;
-            }
-        }
+        fan_out(comm, 0..size, root, t_choice, &choice)?;
         choice
     } else {
         comm.try_send(root, t_prof, profile)?;
-        let deadline = Instant::now() + comm.link_budget().saturating_mul(3);
-        match comm.recv_deadline::<Algorithm>(Some(root), t_choice, deadline) {
-            Ok((_, a)) => a,
-            Err(FaultError::Timeout { .. }) => return Err(FaultError::RootUnreachable { root }),
-            Err(e) => return Err(e),
-        }
+        let wait = comm.link_budget().saturating_mul(3);
+        recv_from_root(comm, root, t_choice, wait)?
     };
     let acc = local_accumulate(local_values, algorithm);
     let out = ft_reduce_accumulator(comm, acc, root, cfg)?;

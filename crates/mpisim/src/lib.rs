@@ -14,7 +14,13 @@
 //!   `reduce_accumulator` over any [`repro_sum::Accumulator`] with three
 //!   topologies: binomial tree, chain, and **flat arrival-order** — the
 //!   last merging partials in genuine run-time arrival order, which is the
-//!   nondeterminism the paper says exascale cannot avoid,
+//!   nondeterminism the paper says exascale cannot avoid. Every tree-shaped
+//!   collective runs one reduce walk over a
+//!   [`repro_tree::topology::HealedTree`], which owns the binomial and
+//!   chain links: the blocking collectives walk the tree over all ranks
+//!   with blocking links, the `ft_*` ones walk the healed tree over the
+//!   survivors with timed links, and `broadcast` walks the same binomial
+//!   tree downward,
 //! * [`collectives::ReduceConfig::jitter_us`] injects per-rank random delays
 //!   to scramble arrival order on demand,
 //! * [`fault`] makes failure a first-class input: a seeded [`FaultPlan`]

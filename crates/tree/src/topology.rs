@@ -286,7 +286,10 @@ pub fn random_live_cores(machine: &Machine, dropout: f64, seed: u64) -> Vec<usiz
     live
 }
 
-/// A reduction tree re-planned over the ranks that survived a failure.
+/// A reduction tree over a set of ranks: the one definition of the
+/// binomial and chain links the `repro-mpisim` collectives walk. The
+/// blocking collectives plan it over every rank (`heal(&(0..size), root)`),
+/// the fault-tolerant ones over the ranks that survived a failure.
 ///
 /// The links are a pure function of the **sorted survivor set** and the
 /// root — never of arrival order — so every survivor that derives a
@@ -361,7 +364,8 @@ impl HealedTree {
     }
 
     /// Children of `rank` in the binomial tree over survivors, in the
-    /// mask order the reduction visits them.
+    /// mask order the reduction visits them (a broadcast down the same
+    /// tree sends to them in reverse, farthest subtree first).
     pub fn binomial_children(&self, rank: usize) -> Vec<usize> {
         let Some(v) = self.vrank_of(rank) else {
             return Vec::new();
